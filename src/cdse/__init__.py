@@ -4,8 +4,7 @@ from .trees import (Decoration, Forest, Tree, TreeSyntaxError,
                     forest_symmetry, forest_text, forests_of_degree, ladder,
                     leaf, parse_forest, parse_tree, single, tree_symmetry,
                     tree_text, trees_of_degree)
-from .linear import (ForestSum, TensorSum, WordSum, forest_sum_text,
-                     proportionality, tensor)
+from .linear import ForestSum, TensorSum, WordSum, forest_sum_text, tensor
 from .hopf import (coproduct, counit, forest_coproduct, graft_operator,
                    pairing, reduced_coproduct, tensor_pairing, tree_coproduct)
 from .series import (EvaluationError, ParseError, TruncatedSeries,
@@ -36,7 +35,7 @@ __all__ = [
     "tree_symmetry", "forest_symmetry", "trees_of_degree",
     "forests_of_degree", "tree_text", "forest_text", "parse_tree",
     "parse_forest", "TreeSyntaxError",
-    "ForestSum", "TensorSum", "WordSum", "tensor", "proportionality", "forest_sum_text",
+    "ForestSum", "TensorSum", "WordSum", "tensor", "forest_sum_text",
     "tree_coproduct", "forest_coproduct", "coproduct", "reduced_coproduct",
     "graft_operator", "counit", "pairing", "tensor_pairing",
     "TruncatedSeries", "substitute", "geometric_family",

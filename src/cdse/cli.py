@@ -12,24 +12,17 @@ spaces.  Ordering is deterministic, so reports are diff-stable.
 """
 
 import argparse
-import itertools
 import os
-import random
 import sys
-from fractions import Fraction
 
-from .families import (Case1, Case2, Unclassifiable, classify_single,
-                       is_family_text, parse_family_text)
-from .hopf import coproduct, forest_coproduct, graft_operator, pairing
-from .linear import ForestSum, TensorSum, WordSum, forest_sum_text, tensor
-from .prelie import (circ, circ_recursive, fdb_circ, fdb_circ_recursive,
-                     fdb_image, fdb_solution, fdb_solution_recursive, star)
+from .families import (Case1, Case2, classify_single, is_family_text,
+                       parse_family_text)
+from .linear import forest_sum_text
 from .series import EvaluationError, ParseError
 from .solver import (INCONSISTENT, NotHopfCompatible, SystemFormatError,
                      check_hopf, extract_lambda, parse_system_text, solve,
-                     solve_oracle, system_text)
-from .trees import (Decoration, TreeSyntaxError, forest_text,
-                    forests_of_degree, trees_of_degree)
+                     system_text)
+from .trees import TreeSyntaxError, forest_text
 
 
 class InputProblem(ValueError):
@@ -55,7 +48,7 @@ def _read_input(arg: str) -> str:
 def _load_system(arg: str, strict: bool):
     text = _read_input(arg)
     if is_family_text(text):
-        return parse_family_text(text, strict=strict)
+        return parse_family_text(text)
     return parse_system_text(text, strict=strict)
 
 
@@ -66,10 +59,6 @@ def _emit(lines, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _frac(x) -> str:
-    return str(x)
 
 
 # ----------------------------------------------------------------- commands
@@ -232,240 +221,28 @@ def _cmd_build(args):
 
 # ------------------------------------------------------------ verify suites
 
-_LABELS = (Decoration(1, 1), Decoration(2, 1))
+def _cmd_suite(args):
+    """prelie-verify and selftest: one record per named check."""
+    # imported here so that the other subcommands do not load the suites
+    from .suites import SUITES
 
-
-def _sampled(items, cap, seed):
-    items = list(items)
-    if len(items) <= cap:
-        return items
-    return random.Random(seed).sample(items, cap)
-
-
-def _suite_lines(results, fmt):
+    structured = args.format == "structured"
     lines = []
+    if structured:
+        lines += ["cdse-report 1", f"command {args.command}",
+                  f"order {args.order}", f"seed {args.seed}"]
     ok = True
-    for name, passed, checks in results:
-        ok = ok and passed
-        if fmt == "structured":
-            lines.append(f"suite {name} | {'pass' if passed else 'fail'} | "
+    for name, check, pool in SUITES[args.command](args.order, args.seed):
+        checks, failures = check(pool)
+        ok = ok and not failures
+        if structured:
+            lines.append(f"suite {name} | {'fail' if failures else 'pass'} | "
                          f"{checks}")
         else:
-            lines.append(f"{'PASS' if passed else 'FAIL'} {name} "
+            lines.append(f"{'FAIL' if failures else 'PASS'} {name} "
                          f"({checks} checks)")
-    if fmt == "structured":
+    if structured:
         lines.append(f"status {'ok' if ok else 'fail'}")
-    return lines, ok
-
-
-def _cmd_prelie_verify(args):
-    N = args.order
-    results = []
-
-    trees = []
-    for d in range(1, min(N, 5) + 1):
-        trees += [(t, d) for t in trees_of_degree(_LABELS, d)]
-
-    triples = [(a, b, c)
-               for a, da in trees for b, db in trees for c, dc in trees
-               if da + db + dc <= min(N + 2, 5)]
-    triples = _sampled(triples, 600, args.seed)
-    bad = 0
-    for a, b, c in triples:
-        x = ForestSum.of_tree(a)
-        y = ForestSum.of_tree(b)
-        z = ForestSum.of_tree(c)
-        assoc_xyz = circ(circ(x, y), z) - circ(x, circ(y, z))
-        assoc_yxz = circ(circ(y, x), z) - circ(y, circ(x, z))
-        if assoc_xyz != assoc_yxz:
-            bad += 1
-    results.append(("pre-lie-identity", bad == 0, len(triples)))
-
-    pairs = []
-    for d in range(2, min(N + 1, 5) + 1):
-        for k in range(1, d):
-            for F in forests_of_degree(_LABELS, k):
-                for G in forests_of_degree(_LABELS, d - k):
-                    pairs.append((F, G))
-    pairs = _sampled(pairs, 400, args.seed)
-    bad = sum(1 for F, G in pairs
-              if circ(ForestSum.term(F), ForestSum.term(G))
-              != circ_recursive(ForestSum.term(F), ForestSum.term(G)))
-    results.append(("grafting-closed-vs-recursive", bad == 0, len(pairs)))
-
-    checks = 0
-    bad = 0
-    for d in range(2, min(N, 4) + 1):
-        for k in range(1, d):
-            lefts = forests_of_degree(_LABELS, k)
-            rights = forests_of_degree(_LABELS, d - k)
-            for H in forests_of_degree(_LABELS, d):
-                dH = forest_coproduct(H)
-                for F in lefts:
-                    for G in rights:
-                        got = pairing(star(ForestSum.term(F),
-                                           ForestSum.term(G)),
-                                      ForestSum.term(H))
-                        want = sum((c * pairing(ForestSum.term(F),
-                                                ForestSum.term(a))
-                                    * pairing(ForestSum.term(G),
-                                              ForestSum.term(b))
-                                    for (a, b), c in dH.terms.items()),
-                                   Fraction(0))
-                        checks += 1
-                        if got != want:
-                            bad += 1
-    results.append(("composition-coproduct-duality", bad == 0, checks))
-
-    checks = 0
-    bad = 0
-    for lam, mu in ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(2)),
-                    (Fraction(3), Fraction(3))):
-        for F, G in pairs:
-            x = ForestSum.term(F)
-            y = ForestSum.term(G)
-            left = fdb_image(lam, mu, circ(x, y))
-            right = fdb_circ(lam, mu, fdb_image(lam, mu, x),
-                             fdb_image(lam, mu, y))
-            checks += 1
-            if left != right:
-                bad += 1
-    results.append(("tree-to-word-morphism", bad == 0, checks))
-
-    checks = 0
-    bad = 0
-    words = []
-    for total in range(1, min(N + 2, 6) + 1):
-        for k in range(1, total + 1):
-            for w in itertools.combinations_with_replacement(
-                    range(1, total + 1), k):
-                if sum(w) == total:
-                    words.append(w)
-    for lam, mu in ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(2)),
-                    (Fraction(3), Fraction(3))):
-        for wa in words:
-            for wb in words:
-                if sum(wa) + sum(wb) > min(N + 2, 6):
-                    continue
-                a = WordSum.term(wa)
-                b = WordSum.term(wb)
-                checks += 1
-                if fdb_circ(lam, mu, a, b) != fdb_circ_recursive(lam, mu, a, b):
-                    bad += 1
-    results.append(("word-closed-vs-recursive", bad == 0, checks))
-
-    checks = 0
-    bad = 0
-    for lam, mu in ((Fraction(1), Fraction(-1)), (Fraction(2), Fraction(3))):
-        for n in range(1, min(N + 1, 5) + 1):
-            checks += 1
-            if fdb_solution(lam, mu, {1}, n) != fdb_solution_recursive(
-                    lam, mu, {1}, n):
-                bad += 1
-    results.append(("weighted-solution-two-routes", bad == 0, checks))
-
-    lines, ok = _suite_lines(results, args.format)
-    if args.format == "structured":
-        lines = ["cdse-report 1", "command prelie-verify",
-                 f"order {N}", f"seed {args.seed}"] + lines
-    _emit(lines, args.output)
-    return 0 if ok else 1
-
-
-def _triple_coproduct(delta, side):
-    out = {}
-    for (a, b), c in delta.terms.items():
-        inner = forest_coproduct(a if side == 0 else b)
-        for (u, v), c2 in inner.terms.items():
-            key = (u, v, b) if side == 0 else (a, u, v)
-            acc = out.get(key, Fraction(0)) + c * c2
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
-def _cmd_selftest(args):
-    N = args.order
-    results = []
-
-    forests = []
-    for d in range(1, min(N, 3) + 1):
-        forests += list(forests_of_degree(_LABELS, d))
-    extra = _sampled(forests_of_degree(_LABELS, min(N, 3) + 1), 12, args.seed)
-    pool = forests + list(extra)
-
-    bad = 0
-    for f in pool:
-        delta = forest_coproduct(f)
-        if _triple_coproduct(delta, 0) != _triple_coproduct(delta, 1):
-            bad += 1
-    results.append(("coassociativity", bad == 0, len(pool)))
-
-    bad = 0
-    for f in pool:
-        delta = forest_coproduct(f)
-        left = {}
-        right = {}
-        for (a, b), c in delta.terms.items():
-            if not a.trees:
-                left[b] = left.get(b, Fraction(0)) + c
-            if not b.trees:
-                right[a] = right.get(a, Fraction(0)) + c
-        want = {f: Fraction(1)}
-        if ({k: v for k, v in left.items() if v} != want
-                or {k: v for k, v in right.items() if v} != want):
-            bad += 1
-    results.append(("counit", bad == 0, len(pool)))
-
-    checks = 0
-    bad = 0
-    for f in forests:
-        for g in forests:
-            if f.degree + g.degree > min(N, 3) + 1:
-                continue
-            checks += 1
-            if forest_coproduct(f * g) != (TensorSum(forest_coproduct(f).terms)
-                                           * forest_coproduct(g)):
-                bad += 1
-    results.append(("coproduct-multiplicativity", bad == 0, checks))
-
-    bad = 0
-    dec = Decoration(1, 1)
-    for f in pool:
-        x = ForestSum.term(f)
-        lifted = graft_operator(dec, x)
-        lhs = coproduct(lifted)
-        rhs = tensor(lifted, ForestSum.one())
-        for (a, b), c in coproduct(x).terms.items():
-            for g, c2 in graft_operator(dec, ForestSum.term(b)).terms.items():
-                rhs = rhs + TensorSum.term((a, g), c * c2)
-        if lhs != rhs:
-            bad += 1
-    results.append(("cocycle-identity", bad == 0, len(pool)))
-
-    bad = 0
-    for f in pool:
-        for (a, b), _ in forest_coproduct(f).terms.items():
-            if a.degree + b.degree != f.degree:
-                bad += 1
-    results.append(("coproduct-grading", bad == 0, len(pool)))
-
-    case1 = parse_system_text("vars 1\neq 1\n  op 1 : (1 + h1)^2\n")
-    sol = solve(case1, 4)
-    oracle = solve_oracle(case1, 4)
-    same = all(sol.component(1, n) == oracle.component(1, n)
-               for n in range(1, 5))
-    results.append(("solver-two-routes", same, 4))
-
-    rep = check_hopf(case1, 4)
-    results.append(("hopf-smoke", rep.is_hopf, rep.checks))
-
-    lines, ok = _suite_lines(results, args.format)
-    if args.format == "structured":
-        lines = ["cdse-report 1", "command selftest",
-                 f"order {N}", f"seed {args.seed}"] + lines
     _emit(lines, args.output)
     return 0 if ok else 1
 
@@ -518,7 +295,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("prelie-verify",
                        help="run the grafting/duality property suites")
     _add_common(p, 4, with_input=False)
-    p.set_defaults(fn=_cmd_prelie_verify)
+    p.set_defaults(fn=_cmd_suite)
 
     p = sub.add_parser("build",
                        help="expand a family description to system text")
@@ -527,7 +304,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="run the structural invariant suites")
     _add_common(p, 3, with_input=False)
-    p.set_defaults(fn=_cmd_selftest)
+    p.set_defaults(fn=_cmd_suite)
 
     args = parser.parse_args(argv)
     if args.order < 1:
@@ -537,6 +314,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply (Python recursion limit "
+              "exceeded)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

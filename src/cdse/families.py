@@ -1153,7 +1153,7 @@ def _header_values(tokens, where: str) -> dict:
     return out
 
 
-def parse_family_text(text: str, strict: bool = True) -> SDSE:
+def parse_family_text(text: str) -> SDSE:
     """Build a system from its family description (see the format note)."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -24,11 +24,9 @@ from .trees import (EMPTY_FOREST, Decoration, Forest, Tree, forest_symmetry,
 def tree_coproduct(t: Tree) -> TensorSum:
     inner = forest_coproduct(Forest(t.children))
     d = t.decoration
-    out = {(single(t), EMPTY_FOREST): Fraction(1)}
-    for (left, right), c in inner.terms.items():
-        key = (left, single(Tree(d, right.trees)))
-        out[key] = out.get(key, Fraction(0)) + c
-    return TensorSum(out)
+    out = TensorSum.of(single(t), EMPTY_FOREST)
+    return out.add_scaled(inner.map_keys(
+        lambda lr: (lr[0], single(Tree(d, lr[1].trees)))))
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +40,7 @@ def forest_coproduct(f: Forest) -> TensorSum:
 def coproduct(x: ForestSum) -> TensorSum:
     out = TensorSum.zero()
     for f, c in x.terms.items():
-        out = out + forest_coproduct(f).scale(c)
+        out.add_scaled(forest_coproduct(f), c)
     return out
 
 
@@ -50,8 +48,8 @@ def reduced_coproduct(x: ForestSum) -> TensorSum:
     """Coproduct minus the two primitive-like end terms x(x)1 and 1(x)x."""
     out = coproduct(x)
     for f, c in x.terms.items():
-        out = out - TensorSum.of(f, EMPTY_FOREST, c)
-        out = out - TensorSum.of(EMPTY_FOREST, f, c)
+        out.add_scaled(TensorSum.of(f, EMPTY_FOREST), -c)
+        out.add_scaled(TensorSum.of(EMPTY_FOREST, f), -c)
     return out
 
 

@@ -12,23 +12,36 @@ from fractions import Fraction
 from .trees import EMPTY_FOREST, Forest, Tree, forest_text, single
 
 
+def _accumulate(data: dict, pairs) -> dict:
+    """Add each (key, coeff) pair into data, deleting keys that reach zero.
+
+    The one accumulation loop behind every sum in the package.
+    """
+    for key, coeff in pairs:
+        acc = data.get(key)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            data[key] = acc
+        elif key in data:
+            del data[key]
+    return data
+
+
 class LinComb:
     """Finite formal sum c_1 b_1 + ... + c_k b_k, coefficients in Q."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
-                if coeff:
-                    acc = data.get(key, 0) + coeff
-                    if acc:
-                        data[key] = acc
-                    else:
-                        del data[key]
-        self.terms = data
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = _accumulate({}, ((key, Fraction(coeff))
+                                      for key, coeff in terms or ()))
+
+    def _like(self, terms: dict) -> "LinComb":
+        res = type(self).__new__(type(self))
+        res.terms = terms
+        return res
 
     @classmethod
     def term(cls, key, coeff=1):
@@ -47,26 +60,24 @@ class LinComb:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def add_scaled(self, other: "LinComb", c=1) -> "LinComb":
+        """self += c * other, in place; returns self."""
+        pairs = other.terms.items()
+        if c != 1:
+            c = Fraction(c)
+            pairs = [(key, coeff * c) for key, coeff in pairs]
+        _accumulate(self.terms, pairs)
+        return self
+
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        res = type(self).__new__(type(self))
-        res.terms = out
-        return res
+        return self._like(_accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinComb":
         c = Fraction(c)
-        res = type(self).__new__(type(self))
-        res.terms = {k: v * c for k, v in self.terms.items()} if c else {}
-        return res
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __neg__(self):
         return self.scale(-1)
@@ -79,32 +90,16 @@ class LinComb:
         raise NotImplementedError
 
     def __mul__(self, other):
-        res = type(self).__new__(type(self))
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = self._mul_key(ka, kb)
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        res.terms = out
-        return res
+        mul = self._mul_key
+        return self._like(_accumulate({}, (
+            (mul(ka, kb), ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items())))
 
     def map_keys(self, fn) -> "LinComb":
         """Linear extension of a basis map; fn returns a key."""
-        res = type(self).__new__(type(self))
-        out = {}
-        for key, coeff in self.terms.items():
-            new = fn(key)
-            acc = out.get(new, 0) + coeff
-            if acc:
-                out[new] = acc
-            else:
-                del out[new]
-        res.terms = out
-        return res
+        return self._like(_accumulate({}, ((fn(key), coeff)
+                                           for key, coeff in self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -113,19 +108,6 @@ class LinComb:
         for key in sorted(self.terms, key=_sort_key):
             bits.append(f"{self.terms[key]}*{key!r}")
         return " + ".join(bits)
-
-
-def proportionality(a: LinComb, b: LinComb):
-    """The scalar c with a = c*b, if one exists; None otherwise.
-
-    Zero a gives 0 when b is anything nonzero; a nonzero next to a zero b has
-    no scalar.
-    """
-    if not b.terms:
-        return Fraction(0) if not a.terms else None
-    key, val = next(iter(b.terms.items()))
-    c = a.coeff(key) / val
-    return c if a == b.scale(c) else None
 
 
 def _sort_key(key):
@@ -185,11 +167,8 @@ class TensorSum(LinComb):
 
 
 def tensor(a: ForestSum, b: ForestSum) -> TensorSum:
-    out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out[(ka, kb)] = ca * cb
-    return TensorSum(out)
+    return TensorSum(((ka, kb), ca * cb) for ka, ca in a.terms.items()
+                     for kb, cb in b.terms.items())
 
 
 class WordSum(LinComb):

@@ -31,14 +31,13 @@ def _as_forest_sum(a) -> ForestSum:
     raise TypeError(f"expected a forest-like value, got {type(a).__name__}")
 
 
-def _bilinear(fn, a, b) -> ForestSum:
-    a, b = _as_forest_sum(a), _as_forest_sum(b)
-    out = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            for f, c in fn(fa, fb).terms.items():
-                out[f] = out.get(f, Fraction(0)) + ca * cb * c
-    return ForestSum(out)
+def _bilinear(fn, a, b):
+    """Bilinear extension of fn, a map from two basis keys to a sum."""
+    out = type(a)()
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            out.add_scaled(fn(ka, kb), ca * cb)
+    return out
 
 
 def _attach(base: Forest, assignment) -> Forest:
@@ -64,11 +63,8 @@ def _vertex_count(f: Forest) -> int:
 
 def _graft_all(t: Tree, target: Forest) -> ForestSum:
     """Sum over vertices of target of attaching t below that vertex."""
-    out = {}
-    for v in range(_vertex_count(target)):
-        f = _attach(target, {v: (t,)})
-        out[f] = out.get(f, Fraction(0)) + 1
-    return ForestSum(out)
+    return ForestSum((_attach(target, {v: (t,)}), 1)
+                     for v in range(_vertex_count(target)))
 
 
 def graft(t: Tree, target: Tree) -> ForestSum:
@@ -85,19 +81,18 @@ def _circ_closed(F: Forest, G: Forest) -> ForestSum:
         return ForestSum.term(G)
     if nv == 0:
         return ForestSum.zero()
-    out = {}
+    grafts = []
     for targets in itertools.product(range(nv), repeat=k):
         assignment = {}
         for t, v in zip(F.trees, targets):
             assignment.setdefault(v, []).append(t)
-        f = _attach(G, assignment)
-        out[f] = out.get(f, Fraction(0)) + 1
-    return ForestSum(out)
+        grafts.append((_attach(G, assignment), 1))
+    return ForestSum(grafts)
 
 
 def circ(a, b) -> ForestSum:
     """Extended grafting product, as the closed sum over vertex assignments."""
-    return _bilinear(_circ_closed, a, b)
+    return _bilinear(_circ_closed, _as_forest_sum(a), _as_forest_sum(b))
 
 
 def _circ_rec(F: Forest, G: Forest) -> ForestSum:
@@ -107,20 +102,17 @@ def _circ_rec(F: Forest, G: Forest) -> ForestSum:
         return ForestSum.term(G)
     x = F.trees[0]
     rest = Forest(F.trees[1:])
-    inner = _circ_rec(rest, G)
-    out = {}
-    for H, c in inner.terms.items():
-        for f, c2 in _graft_all(x, H).terms.items():
-            out[f] = out.get(f, Fraction(0)) + c * c2
+    out = ForestSum()
+    for H, c in _circ_rec(rest, G).terms.items():
+        out.add_scaled(_graft_all(x, H), c)
     for K, c in _graft_all(x, rest).terms.items():
-        for f, c2 in _circ_rec(K, G).terms.items():
-            out[f] = out.get(f, Fraction(0)) - c * c2
-    return ForestSum(out)
+        out.add_scaled(_circ_rec(K, G), -c)
+    return out
 
 
 def circ_recursive(a, b) -> ForestSum:
     """Same product as circ, computed by the peeling recursion instead."""
-    return _bilinear(_circ_rec, a, b)
+    return _bilinear(_circ_rec, _as_forest_sum(a), _as_forest_sum(b))
 
 
 def _splits(F: Forest):
@@ -140,13 +132,10 @@ def _splits(F: Forest):
 
 
 def _star_forests(F: Forest, G: Forest) -> ForestSum:
-    out = {}
+    out = ForestSum()
     for left, right, mult in _splits(F):
-        grafted = _circ_closed(right, G)
-        for f, c in grafted.terms.items():
-            key = left * f
-            out[key] = out.get(key, Fraction(0)) + mult * c
-    return ForestSum(out)
+        out.add_scaled(ForestSum.term(left) * _circ_closed(right, G), mult)
+    return out
 
 
 def star(a, b) -> ForestSum:
@@ -155,7 +144,7 @@ def star(a, b) -> ForestSum:
     Associative, with the empty forest as unit; dual to the coproduct under
     the symmetry pairing.
     """
-    return _bilinear(_star_forests, a, b)
+    return _bilinear(_star_forests, _as_forest_sum(a), _as_forest_sum(b))
 
 
 # ------------------------------------------------------------- word algebra
@@ -164,15 +153,6 @@ def _check_word_sum(a) -> WordSum:
     if not isinstance(a, WordSum):
         raise TypeError(f"expected WordSum, got {type(a).__name__}")
     return a
-
-
-def _word_bilinear(fn, a, b) -> WordSum:
-    out = {}
-    for wa, ca in _check_word_sum(a).terms.items():
-        for wb, cb in _check_word_sum(b).terms.items():
-            for w, c in fn(wa, wb).terms.items():
-                out[w] = out.get(w, Fraction(0)) + ca * cb * c
-    return WordSum(out)
 
 
 def falling_product(lam, mu, m: int, j: int) -> Fraction:
@@ -196,7 +176,7 @@ def _word_on_letters_closed(lam, mu, w, v) -> WordSum:
     n = len(v)
     if n == 0:
         return WordSum.one() if not w else WordSum.zero()
-    out = {}
+    grafts = []
     for targets in itertools.product(range(n), repeat=len(w)):
         sums = [0] * n
         sizes = [0] * n
@@ -208,29 +188,23 @@ def _word_on_letters_closed(lam, mu, w, v) -> WordSum:
             coeff *= falling_product(lam, mu, sizes[pos], v[pos])
             if not coeff:
                 break
-        if not coeff:
-            continue
-        key = tuple(sorted(v[pos] + sums[pos] for pos in range(n)))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return WordSum(out)
+        if coeff:
+            grafts.append((tuple(sorted(v[pos] + sums[pos]
+                                        for pos in range(n))), coeff))
+    return WordSum(grafts)
 
 
 def fdb_circ(lam, mu, a, b) -> WordSum:
     """Extended product for e_i circ e_j = (lam j - mu) e_{i+j}, closed form."""
-    return _word_bilinear(lambda w, v: _word_on_letters_closed(lam, mu, w, v),
-                          a, b)
+    return _bilinear(lambda w, v: _word_on_letters_closed(lam, mu, w, v),
+                     _check_word_sum(a), _check_word_sum(b))
 
 
 def _letter_on_word(lam, mu, i: int, u) -> WordSum:
     # single letter acts as a derivation over the word u
-    out = {}
-    for pos in range(len(u)):
-        coeff = Fraction(lam) * u[pos] - Fraction(mu)
-        if not coeff:
-            continue
-        key = tuple(sorted(u[:pos] + (u[pos] + i,) + u[pos + 1:]))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return WordSum(out)
+    return WordSum((tuple(sorted(u[:pos] + (u[pos] + i,) + u[pos + 1:])),
+                    Fraction(lam) * u[pos] - Fraction(mu))
+                   for pos in range(len(u)))
 
 
 def _word_circ_rec(lam, mu, w, v) -> WordSum:
@@ -239,19 +213,18 @@ def _word_circ_rec(lam, mu, w, v) -> WordSum:
     if not v:
         return WordSum.zero()
     x, rest = w[0], w[1:]
-    out = {}
+    out = WordSum()
     for u, c in _word_circ_rec(lam, mu, rest, v).terms.items():
-        for key, c2 in _letter_on_word(lam, mu, x, u).terms.items():
-            out[key] = out.get(key, Fraction(0)) + c * c2
+        out.add_scaled(_letter_on_word(lam, mu, x, u), c)
     for u, c in _letter_on_word(lam, mu, x, rest).terms.items():
-        for key, c2 in _word_circ_rec(lam, mu, u, v).terms.items():
-            out[key] = out.get(key, Fraction(0)) - c * c2
-    return WordSum(out)
+        out.add_scaled(_word_circ_rec(lam, mu, u, v), -c)
+    return out
 
 
 def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
     """Same word product, by peeling letters instead of the closed sum."""
-    return _word_bilinear(lambda w, v: _word_circ_rec(lam, mu, w, v), a, b)
+    return _bilinear(lambda w, v: _word_circ_rec(lam, mu, w, v),
+                     _check_word_sum(a), _check_word_sum(b))
 
 
 # ------------------------------------------------- trees to words and back
@@ -267,16 +240,9 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
 
 def fdb_image(lam, mu, x) -> WordSum:
     """Algebra map to words: a tree of degree n goes to tree_weight * e_n."""
-    out = {}
-    for f, c in _as_forest_sum(x).terms.items():
-        coeff = Fraction(c)
-        for t in f.trees:
-            coeff *= tree_weight(lam, mu, t)
-        if not coeff:
-            continue
-        key = tuple(sorted(t.degree for t in f.trees))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return WordSum(out)
+    return WordSum((tuple(sorted(t.degree for t in f.trees)),
+                    c * math.prod(tree_weight(lam, mu, t) for t in f.trees))
+                   for f, c in _as_forest_sum(x).terms.items())
 
 
 def _decorations(J) -> tuple:
@@ -289,12 +255,8 @@ def fdb_solution(lam, mu, J, n: int) -> ForestSum:
     For the one-equation systems whose structure constants are affine with
     slope lam and intercept -mu this reproduces the solution components.
     """
-    out = {}
-    for t in trees_of_degree(_decorations(J), n):
-        c = tree_weight(lam, mu, t) / tree_symmetry(t)
-        if c:
-            out[single(t)] = c
-    return ForestSum(out)
+    return ForestSum((single(t), tree_weight(lam, mu, t) / tree_symmetry(t))
+                     for t in trees_of_degree(_decorations(J), n))
 
 
 def fdb_solution_recursive(lam, mu, J, n: int) -> ForestSum:
@@ -312,12 +274,8 @@ def fdb_solution_recursive(lam, mu, J, n: int) -> ForestSum:
         memo[t] = val
         return val
 
-    out = {}
-    for t in trees_of_degree(_decorations(J), n):
-        c = nu(t)
-        if c:
-            out[single(t)] = c
-    return ForestSum(out)
+    return ForestSum((single(t), nu(t))
+                     for t in trees_of_degree(_decorations(J), n))
 
 
 def fdb_surjective(J, lam, mu, all_degrees: bool = False) -> bool:
@@ -341,16 +299,13 @@ def affine_circ(modulus: int, alpha, a, b) -> WordSum:
     associative on the nose.
     """
     alpha = Fraction(alpha)
-    out = {}
-    for wa, ca in _check_word_sum(a).terms.items():
-        for wb, cb in _check_word_sum(b).terms.items():
-            if len(wa) != 1 or len(wb) != 1:
-                raise ValueError("gated product is defined on letters only")
-            if wb[0] % modulus:
-                continue
-            key = (wa[0] + wb[0],)
-            out[key] = out.get(key, Fraction(0)) + ca * cb * alpha
-    return WordSum(out)
+
+    def letters(wa, wb):
+        if len(wa) != 1 or len(wb) != 1:
+            raise ValueError("gated product is defined on letters only")
+        return WordSum() if wb[0] % modulus else WordSum.gen(wa[0] + wb[0], alpha)
+
+    return _bilinear(letters, _check_word_sum(a), _check_word_sum(b))
 
 
 def reachable_degrees(J, modulus: int, bound: int):

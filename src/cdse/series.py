@@ -9,12 +9,13 @@ evaluating gives an exact TruncatedSeries; everything is Fraction arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .linear import ForestSum
+from .linear import ForestSum, _accumulate
 from .trees import EMPTY_FOREST
 
 
@@ -32,21 +33,18 @@ class TruncatedSeries:
     __slots__ = ("nvars", "trunc", "coeffs")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
-        data = {}
-        if coeffs:
-            for p, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if len(p) != nvars:
-                    raise EvaluationError(f"exponent {p} has wrong arity")
-                c = Fraction(c)
-                if c and sum(p) <= trunc:
-                    acc = data.get(p, 0) + c
-                    if acc:
-                        data[p] = acc
-                    else:
-                        del data[p]
+        if isinstance(coeffs, dict):
+            coeffs = coeffs.items()
+        pairs = []
+        for p, c in coeffs or ():
+            if len(p) != nvars:
+                raise EvaluationError(f"exponent {p} has wrong arity")
+            c = Fraction(c)
+            if sum(p) <= trunc:
+                pairs.append((p, c))
         self.nvars = nvars
         self.trunc = trunc
-        self.coeffs = data
+        self.coeffs = _accumulate({}, pairs)
 
     # ------------------------------------------------------------ builders
 
@@ -98,51 +96,37 @@ class TruncatedSeries:
 
     # ---------------------------------------------------------- arithmetic
 
+    def _like(self, coeffs: dict) -> "TruncatedSeries":
+        res = TruncatedSeries.__new__(TruncatedSeries)
+        res.nvars, res.trunc, res.coeffs = self.nvars, self.trunc, coeffs
+        return res
+
     def _compatible(self, other):
         if self.nvars != other.nvars or self.trunc != other.trunc:
             raise EvaluationError("mixed series spaces")
 
     def __add__(self, other):
         self._compatible(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            acc = out.get(p, 0) + c
-            if acc:
-                out[p] = acc
-            else:
-                del out[p]
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.nvars, res.trunc, res.coeffs = self.nvars, self.trunc, out
-        return res
+        return self._like(_accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
+    def __neg__(self):
+        return self.scale(-1)
+
     def scale(self, c):
         c = Fraction(c)
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.nvars, res.trunc = self.nvars, self.trunc
-        res.coeffs = {p: v * c for p, v in self.coeffs.items()} if c else {}
-        return res
+        return self._like({p: v * c for p, v in self.coeffs.items()} if c else {})
 
     def __mul__(self, other):
         self._compatible(other)
-        out = {}
         trunc = self.trunc
-        for p, cp in self.coeffs.items():
-            dp = sum(p)
-            for r, cr in other.coeffs.items():
-                if dp + sum(r) > trunc:
-                    continue
-                key = tuple(a + b for a, b in zip(p, r))
-                acc = out.get(key, 0) + cp * cr
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.nvars, res.trunc, res.coeffs = self.nvars, trunc, out
-        return res
+        return self._like(_accumulate({}, (
+            (tuple(a + b for a, b in zip(p, r)), cp * cr)
+            for p, cp in self.coeffs.items()
+            for r, cr in other.coeffs.items()
+            if sum(p) + sum(r) <= trunc)))
 
     def restrict(self, trunc: int) -> "TruncatedSeries":
         if trunc > self.trunc:
@@ -252,18 +236,21 @@ def substitute(f: TruncatedSeries, args, bound: int) -> ForestSum:
         for j, e in enumerate(p, start=1):
             if e:
                 term = (term * power(j, e)).truncate(bound)
-        out = out + term
+        out.add_scaled(term)
     return out
 
 
-def _rising_coeffs(first_step, step, scale, trunc):
-    # h^n coefficient: first_step (first_step+step) ... (first_step+(n-1)step) / n!
-    out = [Fraction(1)]
+def _rising_series(first_step, step, scale, nvars, var, trunc):
+    # h_var^n coefficient:
+    # first_step (first_step+step) ... (first_step+(n-1)step) / n! * scale^n
+    coeffs = {(0,) * nvars: Fraction(1)}
     run = Fraction(1)
     for n in range(1, trunc + 1):
         run *= first_step + (n - 1) * step
-        out.append(run * scale ** n / math.factorial(n))
-    return out
+        e = [0] * nvars
+        e[var - 1] = n
+        coeffs[tuple(e)] = run * scale ** n / math.factorial(n)
+    return TruncatedSeries(nvars, trunc, coeffs)
 
 
 def geometric_family(beta, nvars: int, var: int, scale, trunc: int) -> TruncatedSeries:
@@ -272,15 +259,7 @@ def geometric_family(beta, nvars: int, var: int, scale, trunc: int) -> Truncated
     The h^n coefficient is (1)(1+beta)...(1+(n-1)beta)/n! times scale^n.
     """
     beta = Fraction(beta)
-    cs = _rising_coeffs(Fraction(1), beta, Fraction(scale), trunc)
-    e0 = [0] * nvars
-    coeffs = {}
-    for n, c in enumerate(cs):
-        e = list(e0)
-        if n:
-            e[var - 1] = n
-        coeffs[tuple(e)] = c
-    return TruncatedSeries(nvars, trunc, coeffs)
+    return _rising_series(Fraction(1), beta, Fraction(scale), nvars, var, trunc)
 
 
 def geometric_family_shifted(beta, nvars: int, var: int, scale, trunc: int) -> TruncatedSeries:
@@ -291,14 +270,7 @@ def geometric_family_shifted(beta, nvars: int, var: int, scale, trunc: int) -> T
     series is the constant 1, which is exactly what the running product gives.
     """
     beta = Fraction(beta)
-    cs = _rising_coeffs(1 + beta, beta, Fraction(scale), trunc)
-    coeffs = {}
-    for n, c in enumerate(cs):
-        e = [0] * nvars
-        if n:
-            e[var - 1] = n
-        coeffs[tuple(e)] = c
-    return TruncatedSeries(nvars, trunc, coeffs)
+    return _rising_series(1 + beta, beta, Fraction(scale), nvars, var, trunc)
 
 
 # ------------------------------------------------------------- expressions
@@ -381,112 +353,100 @@ def ast_product(factors):
     return out
 
 
-def expr_const(e, q: Optional[int] = None) -> Fraction:
-    """Value of a variable-free expression, with q substituted for the parameter."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        raise EvaluationError("variable inside a constant context")
+_LEAVES = (Num, Var, Param)
+_PARTS = {cls: tuple(f.name for f in fields(cls))
+          for cls in (Neg, Add, Sub, Mul, Pow, Exp, Log)}
+
+
+def _parts(e):
+    """Child expressions of an inner node, in field order."""
+    names = _PARTS.get(type(e))
+    if names is None:
+        raise EvaluationError(f"unknown node {e!r}")
+    return [getattr(e, name) for name in names]
+
+
+def _rebuild(e, leaf):
+    """Bottom-up copy of e with each leaf node replaced by leaf(node)."""
+    if isinstance(e, _LEAVES):
+        return leaf(e)
+    return type(e)(*(_rebuild(part, leaf) for part in _parts(e)))
+
+
+def _constant_power(c: Fraction, r: Fraction) -> Fraction:
+    if r.denominator == 1:
+        n = r.numerator
+        if n >= 0:
+            return c ** n
+        if c == 0:
+            raise EvaluationError("negative power of zero")
+        return Fraction(1) / c ** (-n)
+    if c == 1:
+        return Fraction(1)
+    if c == 0 and r > 0:
+        return Fraction(0)
+    raise EvaluationError(f"irrational constant {c}^{r}")
+
+
+def _constant_exp(c: Fraction) -> Fraction:
+    if c == 0:
+        return Fraction(1)
+    raise EvaluationError("irrational constant exp value")
+
+
+def _constant_log(c: Fraction) -> Fraction:
+    if c == 1:
+        return Fraction(0)
+    raise EvaluationError("irrational constant log value")
+
+
+_RING = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+         Mul: operator.mul}
+_CONSTANT_OPS = {**_RING, Exp: _constant_exp, Log: _constant_log}
+_SERIES_OPS = {**_RING, Exp: TruncatedSeries.exp, Log: TruncatedSeries.log}
+
+
+def _evaluate(e, q, space=None):
+    """Value of e: a Fraction when space is None, else a TruncatedSeries in
+    space = (nvars, trunc)."""
     if isinstance(e, Param):
         if q is None:
             raise EvaluationError("parameter q left uninstantiated")
-        return Fraction(q)
-    if isinstance(e, Neg):
-        return -expr_const(e.arg, q)
-    if isinstance(e, Add):
-        return expr_const(e.left, q) + expr_const(e.right, q)
-    if isinstance(e, Sub):
-        return expr_const(e.left, q) - expr_const(e.right, q)
-    if isinstance(e, Mul):
-        return expr_const(e.left, q) * expr_const(e.right, q)
+        e = Num(Fraction(q))
+    if isinstance(e, Num):
+        return e.value if space is None else TruncatedSeries.const(*space, e.value)
+    if isinstance(e, Var):
+        if space is None:
+            raise EvaluationError("variable inside a constant context")
+        return TruncatedSeries.var(*space, e.index)
+    if isinstance(e, Pow) and space is None:
+        c = _evaluate(e.base, q)
+        return _constant_power(c, _evaluate(e.exponent, q))
     if isinstance(e, Pow):
-        c = expr_const(e.base, q)
-        r = expr_const(e.exponent, q)
-        if r.denominator == 1:
-            n = r.numerator
-            if n >= 0:
-                return c ** n
-            if c == 0:
-                raise EvaluationError("negative power of zero")
-            return Fraction(1) / c ** (-n)
-        if c == 1:
-            return Fraction(1)
-        if c == 0 and r > 0:
-            return Fraction(0)
-        raise EvaluationError(f"irrational constant {c}^{r}")
-    if isinstance(e, Exp):
-        if expr_const(e.arg, q) == 0:
-            return Fraction(1)
-        raise EvaluationError("irrational constant exp value")
-    if isinstance(e, Log):
-        if expr_const(e.arg, q) == 1:
-            return Fraction(0)
-        raise EvaluationError("irrational constant log value")
-    raise EvaluationError(f"unknown node {e!r}")
+        r = _evaluate(e.exponent, q)  # a constant, read before the base
+        return _evaluate(e.base, q, space).pow_rational(r)
+    args = [_evaluate(part, q, space) for part in _parts(e)]
+    return (_CONSTANT_OPS if space is None else _SERIES_OPS)[type(e)](*args)
+
+
+def expr_const(e, q: Optional[int] = None) -> Fraction:
+    """Value of a variable-free expression, with q substituted for the parameter."""
+    return _evaluate(e, q)
 
 
 def expr_series(e, nvars: int, trunc: int, q: Optional[int] = None) -> TruncatedSeries:
-    if isinstance(e, Num):
-        return TruncatedSeries.const(nvars, trunc, e.value)
-    if isinstance(e, Var):
-        return TruncatedSeries.var(nvars, trunc, e.index)
-    if isinstance(e, Param):
-        if q is None:
-            raise EvaluationError("parameter q left uninstantiated")
-        return TruncatedSeries.const(nvars, trunc, q)
-    if isinstance(e, Neg):
-        return expr_series(e.arg, nvars, trunc, q).scale(-1)
-    if isinstance(e, Add):
-        return expr_series(e.left, nvars, trunc, q) + expr_series(e.right, nvars, trunc, q)
-    if isinstance(e, Sub):
-        return expr_series(e.left, nvars, trunc, q) - expr_series(e.right, nvars, trunc, q)
-    if isinstance(e, Mul):
-        return expr_series(e.left, nvars, trunc, q) * expr_series(e.right, nvars, trunc, q)
-    if isinstance(e, Pow):
-        r = expr_const(e.exponent, q)
-        return expr_series(e.base, nvars, trunc, q).pow_rational(r)
-    if isinstance(e, Exp):
-        return expr_series(e.arg, nvars, trunc, q).exp()
-    if isinstance(e, Log):
-        return expr_series(e.arg, nvars, trunc, q).log()
-    raise EvaluationError(f"unknown node {e!r}")
+    return _evaluate(e, q, (nvars, trunc))
 
 
 def expr_uses_param(e) -> bool:
-    if isinstance(e, (Num, Var)):
-        return False
-    if isinstance(e, Param):
-        return True
-    if isinstance(e, (Neg, Exp, Log)):
-        return expr_uses_param(e.arg)
-    if isinstance(e, (Add, Sub, Mul)):
-        return expr_uses_param(e.left) or expr_uses_param(e.right)
-    if isinstance(e, Pow):
-        return expr_uses_param(e.base) or expr_uses_param(e.exponent)
-    raise EvaluationError(f"unknown node {e!r}")
+    if isinstance(e, _LEAVES):
+        return isinstance(e, Param)
+    return any(expr_uses_param(part) for part in _parts(e))
 
 
 def expr_map_vars(e, fn):
     """Rebuild the expression with each Var node replaced by fn(index)."""
-    if isinstance(e, (Num, Param)):
-        return e
-    if isinstance(e, Var):
-        return fn(e.index)
-    if isinstance(e, Neg):
-        return Neg(expr_map_vars(e.arg, fn))
-    if isinstance(e, Add):
-        return Add(expr_map_vars(e.left, fn), expr_map_vars(e.right, fn))
-    if isinstance(e, Sub):
-        return Sub(expr_map_vars(e.left, fn), expr_map_vars(e.right, fn))
-    if isinstance(e, Mul):
-        return Mul(expr_map_vars(e.left, fn), expr_map_vars(e.right, fn))
-    if isinstance(e, Pow):
-        return Pow(expr_map_vars(e.base, fn), expr_map_vars(e.exponent, fn))
-    if isinstance(e, Exp):
-        return Exp(expr_map_vars(e.arg, fn))
-    if isinstance(e, Log):
-        return Log(expr_map_vars(e.arg, fn))
-    raise EvaluationError(f"unknown node {e!r}")
+    return _rebuild(e, lambda leaf: fn(leaf.index) if isinstance(leaf, Var) else leaf)
 
 
 def expr_rescale_var(e, j: int, factor):
@@ -497,25 +457,7 @@ def expr_rescale_var(e, j: int, factor):
 
 def expr_instantiate(e, q: int):
     """Replace the parameter q by a concrete integer, returning a new tree."""
-    if isinstance(e, (Num, Var)):
-        return e
-    if isinstance(e, Param):
-        return Num(Fraction(q))
-    if isinstance(e, Neg):
-        return Neg(expr_instantiate(e.arg, q))
-    if isinstance(e, Add):
-        return Add(expr_instantiate(e.left, q), expr_instantiate(e.right, q))
-    if isinstance(e, Sub):
-        return Sub(expr_instantiate(e.left, q), expr_instantiate(e.right, q))
-    if isinstance(e, Mul):
-        return Mul(expr_instantiate(e.left, q), expr_instantiate(e.right, q))
-    if isinstance(e, Pow):
-        return Pow(expr_instantiate(e.base, q), expr_instantiate(e.exponent, q))
-    if isinstance(e, Exp):
-        return Exp(expr_instantiate(e.arg, q))
-    if isinstance(e, Log):
-        return Log(expr_instantiate(e.arg, q))
-    raise EvaluationError(f"unknown node {e!r}")
+    return _rebuild(e, lambda leaf: Num(Fraction(q)) if isinstance(leaf, Param) else leaf)
 
 
 def expr_at_zero(e):
@@ -641,6 +583,10 @@ def _atomic(e) -> bool:
     return isinstance(e, (Var, Param)) or (isinstance(e, Num) and e.value >= 0)
 
 
+_TEXT = {Neg: "-({})", Add: "({}+{})", Sub: "({}-{})", Mul: "({}*{})",
+         Exp: "exp({})", Log: "log({})"}
+
+
 def expr_text(e) -> str:
     if isinstance(e, Num):
         return str(e.value)
@@ -648,14 +594,6 @@ def expr_text(e) -> str:
         return f"h{e.index}"
     if isinstance(e, Param):
         return "q"
-    if isinstance(e, Neg):
-        return f"-({expr_text(e.arg)})"
-    if isinstance(e, Add):
-        return f"({expr_text(e.left)}+{expr_text(e.right)})"
-    if isinstance(e, Sub):
-        return f"({expr_text(e.left)}-{expr_text(e.right)})"
-    if isinstance(e, Mul):
-        return f"({expr_text(e.left)}*{expr_text(e.right)})"
     if isinstance(e, Pow):
         base = expr_text(e.base) if _atomic(e.base) else f"({expr_text(e.base)})"
         if _atomic(e.exponent) or isinstance(e.exponent, Num):
@@ -663,8 +601,5 @@ def expr_text(e) -> str:
         else:
             ex = f"({expr_text(e.exponent)})"
         return f"{base}^{ex}"
-    if isinstance(e, Exp):
-        return f"exp({expr_text(e.arg)})"
-    if isinstance(e, Log):
-        return f"log({expr_text(e.arg)})"
-    raise EvaluationError(f"unknown node {e!r}")
+    parts = [expr_text(part) for part in _parts(e)]
+    return _TEXT[type(e)].format(*parts)

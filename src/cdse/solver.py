@@ -227,7 +227,7 @@ class Solution:
         bound = self.order if bound is None else bound
         out = ForestSum.zero()
         for n in range(1, bound + 1):
-            out = out + self.component(i, n)
+            out.add_scaled(self.component(i, n))
         return out
 
     def generators(self):
@@ -298,7 +298,7 @@ def solve_oracle(S: SDSE, N: int) -> Solution:
             for q in S.degrees(i, N):
                 arg = substitute(S.op_series(i, q, N - q),
                                  {j: xs[j] for j in xs}, N - q)
-                acc = acc + graft_operator((i, q), arg)
+                acc.add_scaled(graft_operator((i, q), arg))
             new[i] = acc.truncate(N)
         if new == xs:
             break
@@ -363,6 +363,23 @@ class HopfReport:
         return not self.failures
 
 
+def _dense(span, slice_):
+    """Sorted support of the span tensors and the slice, with the tensors
+    as dense rows and the slice as a dense target over it."""
+    coords = sorted({key for vec in span for key in vec.terms}
+                    | set(slice_.terms),
+                    key=lambda fg: (fg[0].key, fg[1].key))
+    index = {fg: pos for pos, fg in enumerate(coords)}
+
+    def row(vec):
+        out = [Fraction(0)] * len(coords)
+        for fg, c in vec.terms.items():
+            out[index[fg]] = c
+        return out
+
+    return coords, [row(vec) for vec in span], row(slice_)
+
+
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
 
@@ -392,19 +409,7 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
                 slice_ = delta.bidegree(k, n - k)
                 span = [tensor(u, v)
                         for _, u in monomials(k) for _, v in monomials(n - k)]
-                coords = sorted({key for vec in span for key in vec.terms}
-                                | set(slice_.terms),
-                                key=lambda fg: (fg[0].key, fg[1].key))
-                index = {fg: pos for pos, fg in enumerate(coords)}
-                target = [Fraction(0)] * len(coords)
-                for fg, c in slice_.terms.items():
-                    target[index[fg]] = c
-                vectors = []
-                for vec in span:
-                    row = [Fraction(0)] * len(coords)
-                    for fg, c in vec.terms.items():
-                        row[index[fg]] = c
-                    vectors.append(row)
+                coords, vectors, target = _dense(span, slice_)
                 _, witness = linalg.in_span(vectors, target)
                 if witness is not None:
                     wit = {coords[pos]: w for pos, w in enumerate(witness) if w}
@@ -427,22 +432,10 @@ def slice_coordinates(sol: Solution, i: int, n: int, k: int):
     span = [((la, lb), tensor(u, v))
             for la, u in component_monomials(sol, k)
             for lb, v in component_monomials(sol, n - k)]
-    coords = sorted({key for _, vec in span for key in vec.terms}
-                    | set(slice_.terms),
-                    key=lambda fg: (fg[0].key, fg[1].key))
-    index = {fg: pos for pos, fg in enumerate(coords)}
-    vectors = []
-    for _, vec in span:
-        row = [Fraction(0)] * len(coords)
-        for fg, c in vec.terms.items():
-            row[index[fg]] = c
-        vectors.append(row)
+    _, vectors, target = _dense([vec for _, vec in span], slice_)
     _, pivots = linalg.rref([row[:] for row in vectors])
     if len(pivots) < len(span):
         return None
-    target = [Fraction(0)] * len(coords)
-    for fg, c in slice_.terms.items():
-        target[index[fg]] = c
     coeffs, _ = linalg.in_span(vectors, target)
     if coeffs is None:
         return None

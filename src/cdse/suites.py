@@ -1,0 +1,231 @@
+"""Named property checks over explicit pools.
+
+These are the suites behind `cdse prelie-verify` and `cdse selftest`; the
+tests call the same checks over pools of their own.  A check takes a pool,
+an iterable of argument tuples, and returns an Outcome: how many checks ran
+and which ones failed.  SUITES[command](N, seed) lists a command's
+(name, check, pool) triples in report order.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from functools import wraps
+from typing import NamedTuple
+
+from .hopf import coproduct, forest_coproduct, graft_operator, pairing
+from .linear import ForestSum, LinComb, WordSum, tensor
+from .prelie import (circ, circ_recursive, fdb_circ, fdb_circ_recursive,
+                     fdb_image, fdb_solution, fdb_solution_recursive, star)
+from .solver import check_hopf, parse_system_text, solve, solve_oracle
+from .trees import Decoration, forests_of_degree, trees_of_degree
+
+
+class Outcome(NamedTuple):
+    checks: int
+    failures: list
+
+
+def _each(holds):
+    """A check that tests holds(*item) for every item of its pool."""
+    @wraps(holds)
+    def check(pool) -> Outcome:
+        checks, failures = 0, []
+        for item in pool:
+            checks += 1
+            if not holds(*item):
+                failures.append(item)
+        return Outcome(checks, failures)
+    return check
+
+
+# ------------------------------------------------------ grafting and words
+
+@_each
+def pre_lie_identity(a, b, c):
+    """Trees a, b, c: the associator of circ is symmetric in a and b."""
+    x, y, z = (ForestSum.of_tree(t) for t in (a, b, c))
+    return (circ(circ(x, y), z) - circ(x, circ(y, z))
+            == circ(circ(y, x), z) - circ(y, circ(x, z)))
+
+
+@_each
+def grafting_closed_vs_recursive(F, G):
+    """Forests F, G: circ and circ_recursive agree."""
+    x, y = ForestSum.term(F), ForestSum.term(G)
+    return circ(x, y) == circ_recursive(x, y)
+
+
+@_each
+def composition_coproduct_duality(F, G, H):
+    """Forests F, G, H: <F star G, H> is <F (x) G, Delta H>."""
+    x, y, h = ForestSum.term(F), ForestSum.term(G), ForestSum.term(H)
+    want = sum((c * pairing(x, ForestSum.term(a)) * pairing(y, ForestSum.term(b))
+                for (a, b), c in forest_coproduct(H).terms.items()),
+               Fraction(0))
+    return pairing(star(x, y), h) == want
+
+
+@_each
+def tree_to_word_morphism(lam, mu, F, G):
+    """fdb_image carries F circ G to the word product of the images."""
+    x, y = ForestSum.term(F), ForestSum.term(G)
+    return fdb_image(lam, mu, circ(x, y)) == fdb_circ(
+        lam, mu, fdb_image(lam, mu, x), fdb_image(lam, mu, y))
+
+
+@_each
+def word_closed_vs_recursive(lam, mu, wa, wb):
+    """Words wa, wb: fdb_circ and fdb_circ_recursive agree."""
+    a, b = WordSum.term(wa), WordSum.term(wb)
+    return fdb_circ(lam, mu, a, b) == fdb_circ_recursive(lam, mu, a, b)
+
+
+@_each
+def weighted_solution_two_routes(lam, mu, J, n):
+    """fdb_solution and fdb_solution_recursive agree in degree n."""
+    return fdb_solution(lam, mu, J, n) == fdb_solution_recursive(lam, mu, J, n)
+
+
+# ---------------------------------------------------------- comultiplication
+
+@_each
+def coassociativity(f):
+    """(Delta (x) id) Delta f equals (id (x) Delta) Delta f."""
+    delta = forest_coproduct(f).terms.items()
+    left = LinComb(((u, v, b), c * d) for (a, b), c in delta
+                   for (u, v), d in forest_coproduct(a).terms.items())
+    right = LinComb(((a, u, v), c * d) for (a, b), c in delta
+                    for (u, v), d in forest_coproduct(b).terms.items())
+    return left == right
+
+
+@_each
+def counit_axiom(f):
+    """Applying the counit on either side of Delta f gives f back."""
+    delta = forest_coproduct(f).terms.items()
+    left = ForestSum((b, c) for (a, b), c in delta if not a.trees)
+    right = ForestSum((a, c) for (a, b), c in delta if not b.trees)
+    return left == right == ForestSum.term(f)
+
+
+@_each
+def coproduct_multiplicativity(f, g):
+    """Delta(f g) equals Delta f times Delta g."""
+    return forest_coproduct(f * g) == forest_coproduct(f) * forest_coproduct(g)
+
+
+@_each
+def cocycle_identity(d, f):
+    """Delta B_d(f) = B_d(f) (x) 1 + (id (x) B_d) Delta f."""
+    x = ForestSum.term(f)
+    lifted = graft_operator(d, x)
+    rhs = tensor(lifted, ForestSum.one())
+    for (a, b), c in coproduct(x).terms.items():
+        rhs.add_scaled(tensor(ForestSum.term(a),
+                              graft_operator(d, ForestSum.term(b))), c)
+    return coproduct(lifted) == rhs
+
+
+@_each
+def coproduct_grading(f):
+    """Every term a (x) b of Delta f has degree a + degree b = degree f."""
+    return all(a.degree + b.degree == f.degree
+               for a, b in forest_coproduct(f).terms)
+
+
+# ------------------------------------------------------------------ solver
+
+def solver_two_routes(pool) -> Outcome:
+    """Systems (S, N): solve and solve_oracle agree on every component."""
+    checks, failures = 0, []
+    for S, N in pool:
+        sol, oracle = solve(S, N), solve_oracle(S, N)
+        for i in range(1, S.nvars + 1):
+            for n in range(1, N + 1):
+                checks += 1
+                if sol.component(i, n) != oracle.component(i, n):
+                    failures.append((S, N, i, n))
+    return Outcome(checks, failures)
+
+
+def hopf_smoke(pool) -> Outcome:
+    """Systems (S, N) that must pass check_hopf; one check per slice."""
+    reports = [check_hopf(S, N) for S, N in pool]
+    return Outcome(sum(rep.checks for rep in reports),
+                   [fail for rep in reports for fail in rep.failures])
+
+
+# ------------------------------------------------------------------- pools
+
+_LABELS = (Decoration(1, 1), Decoration(2, 1))
+_WORD_PARAMETERS = ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(2)),
+                    (Fraction(3), Fraction(3)))
+_SQUARE = "vars 1\neq 1\n  op 1 : (1 + h1)^2\n"
+
+
+def _sampled(items, cap, seed):
+    items = list(items)
+    if len(items) <= cap:
+        return items
+    return random.Random(seed).sample(items, cap)
+
+
+def _prelie_verify_pools(N, seed):
+    trees = [(t, d) for d in range(1, min(N, 5) + 1)
+             for t in trees_of_degree(_LABELS, d)]
+    triples = _sampled([(a, b, c)
+                        for a, da in trees for b, db in trees for c, dc in trees
+                        if da + db + dc <= min(N + 2, 5)], 600, seed)
+    forests = {d: forests_of_degree(_LABELS, d) for d in range(1, min(N, 4) + 1)}
+    pairs = _sampled([(F, G) for d in range(2, min(N + 1, 5) + 1)
+                      for k in range(1, d)
+                      for F in forests[k] for G in forests[d - k]], 400, seed)
+    # a generator: the duality pool is large and is run only once
+    duals = ((F, G, H) for d in range(2, min(N, 4) + 1) for k in range(1, d)
+             for H in forests[d] for F in forests[k] for G in forests[d - k])
+    images = [(lam, mu, F, G) for lam, mu in _WORD_PARAMETERS for F, G in pairs]
+    bound = min(N + 2, 6)
+    words = [w for total in range(1, bound + 1) for k in range(1, total + 1)
+             for w in itertools.combinations_with_replacement(
+                 range(1, total + 1), k)
+             if sum(w) == total]
+    word_pairs = [(lam, mu, wa, wb) for lam, mu in _WORD_PARAMETERS
+                  for wa in words for wb in words
+                  if sum(wa) + sum(wb) <= bound]
+    degrees = [(lam, mu, {1}, n)
+               for lam, mu in ((Fraction(1), Fraction(-1)),
+                               (Fraction(2), Fraction(3)))
+               for n in range(1, min(N + 1, 5) + 1)]
+    return [
+        ("pre-lie-identity", pre_lie_identity, triples),
+        ("grafting-closed-vs-recursive", grafting_closed_vs_recursive, pairs),
+        ("composition-coproduct-duality", composition_coproduct_duality, duals),
+        ("tree-to-word-morphism", tree_to_word_morphism, images),
+        ("word-closed-vs-recursive", word_closed_vs_recursive, word_pairs),
+        ("weighted-solution-two-routes", weighted_solution_two_routes, degrees),
+    ]
+
+
+def _selftest_pools(N, seed):
+    top = min(N, 3)
+    forests = [f for d in range(1, top + 1)
+               for f in forests_of_degree(_LABELS, d)]
+    extra = _sampled(forests_of_degree(_LABELS, top + 1), 12, seed)
+    pool = [(f,) for f in forests + extra]
+    products = [(f, g) for f in forests for g in forests
+                if f.degree + g.degree <= top + 1]
+    lifts = [(Decoration(1, 1), f) for (f,) in pool]
+    square = [(parse_system_text(_SQUARE), 4)]
+    return [
+        ("coassociativity", coassociativity, pool),
+        ("counit", counit_axiom, pool),
+        ("coproduct-multiplicativity", coproduct_multiplicativity, products),
+        ("cocycle-identity", cocycle_identity, lifts),
+        ("coproduct-grading", coproduct_grading, pool),
+        ("solver-two-routes", solver_two_routes, square),
+        ("hopf-smoke", hopf_smoke, square),
+    ]
+
+
+SUITES = {"prelie-verify": _prelie_verify_pools, "selftest": _selftest_pools}

@@ -11,30 +11,20 @@ from fractions import Fraction as F
 
 from cdse import (
     Decoration,
-    ForestSum,
-    TensorSum,
     WordSum,
     check_hopf,
-    circ,
-    circ_recursive,
     coproduct,
-    counit,
     extract_lambda,
-    fdb_circ,
-    fdb_circ_recursive,
-    fdb_image,
     fdb_solution,
     fdb_solution_recursive,
     forest_text,
     forests_of_degree,
-    graft_operator,
     affine_circ,
-    pairing,
     parse_system_text,
     rescale_variable,
+    single,
     slice_coordinates,
     solve,
-    star,
     tensor,
 )
 from cdse.families import (CycleVertex, FundamentalData, QuasiCyclicData,
@@ -45,6 +35,11 @@ from cdse.families import (CycleVertex, FundamentalData, QuasiCyclicData,
                            shared_product_series)
 from cdse.series import expr_series, parse_expr
 from cdse.solver import component_monomials
+from cdse.suites import (cocycle_identity, coassociativity,
+                         composition_coproduct_duality, counit_axiom,
+                         coproduct_grading, coproduct_multiplicativity,
+                         grafting_closed_vs_recursive, pre_lie_identity,
+                         tree_to_word_morphism, word_closed_vs_recursive)
 
 from helpers import TWO_LABELS, forests_up_to, trees_up_to
 
@@ -170,40 +165,22 @@ def test_single_generator_coproduct_slices():
 
 def test_grafting_products_and_their_word_shadow():
     trees = trees_up_to(TWO_LABELS, 3)
-    for t1, t2, t3 in itertools.product(trees, repeat=3):
-        if t1.degree + t2.degree + t3.degree > 5:
-            continue
-        x, y, z = (ForestSum.of_tree(t) for t in (t1, t2, t3))
-        lhs = circ(circ(x, y), z) - circ(x, circ(y, z))
-        rhs = circ(circ(y, x), z) - circ(y, circ(x, z))
-        assert lhs == rhs
+    triples = [(t1, t2, t3) for t1, t2, t3 in itertools.product(trees, repeat=3)
+               if t1.degree + t2.degree + t3.degree <= 5]
+    assert pre_lie_identity(triples).failures == []
 
     pool = forests_up_to(TWO_LABELS, 4)
-    for fa in pool:
-        for fb in pool:
-            d = fa.degree + fb.degree
-            if not fb.degree or d > 5:
-                continue
-            x, y = ForestSum.term(fa), ForestSum.term(fb)
-            assert circ(x, y) == circ_recursive(x, y)
-            if d <= 4:
-                lhs_vec = star(x, y)
-                for fh in forests_of_degree(TWO_LABELS, d):
-                    h = ForestSum.term(fh)
-                    want = sum((c * pairing(x, ForestSum.term(u))
-                                * pairing(y, ForestSum.term(v))
-                                for (u, v), c in coproduct(h).terms.items()),
-                               F(0))
-                    assert pairing(lhs_vec, h) == want
+    pairs = [(fa, fb) for fa in pool for fb in pool
+             if fb.degree and fa.degree + fb.degree <= 5]
+    assert grafting_closed_vs_recursive(pairs).failures == []
+    duals = [(fa, fb, fh) for fa, fb in pairs if fa.degree + fb.degree <= 4
+             for fh in forests_of_degree(TWO_LABELS, fa.degree + fb.degree)]
+    assert composition_coproduct_duality(duals).failures == []
 
     lam, mu = F(2), F(-3)
-    for t in trees:
-        for u in trees:
-            if t.degree + u.degree > 5:
-                continue
-            x, y = ForestSum.of_tree(t), ForestSum.of_tree(u)
-            assert fdb_image(lam, mu, circ(x, y)) == fdb_circ(
-                lam, mu, fdb_image(lam, mu, x), fdb_image(lam, mu, y))
+    images = [(lam, mu, single(t), single(u)) for t in trees for u in trees
+              if t.degree + u.degree <= 5]
+    assert tree_to_word_morphism(images).failures == []
 
     words = []
     for total in range(1, 6):
@@ -212,14 +189,11 @@ def test_grafting_products_and_their_word_shadow():
                     range(1, total + 1), k):
                 if sum(w) == total:
                     words.append(w)
-    for lam, mu in ((F(1), F(-1)), (F(0), F(2)), (F(3), F(3))):
-        for wa in words:
-            for wb in words:
-                if sum(wa) + sum(wb) > 6:
-                    continue
-                a, b = WordSum.term(wa), WordSum.term(wb)
-                assert fdb_circ(lam, mu, a, b) == \
-                    fdb_circ_recursive(lam, mu, a, b)
+    word_pairs = [(lam, mu, wa, wb)
+                  for lam, mu in ((F(1), F(-1)), (F(0), F(2)), (F(3), F(3)))
+                  for wa in words for wb in words
+                  if sum(wa) + sum(wb) <= 6]
+    assert word_closed_vs_recursive(word_pairs).failures == []
 
 
 def test_weighted_tree_series_solves_the_power_equation():
@@ -294,52 +268,19 @@ def test_instance_certificates_at_depth_five():
     assert check_ladder_sums(build_quasicyclic(QC3), QC3, 5, hopf_order=4).ok
 
 
-def _triple(x, side):
-    out = {}
-    for (a, b), c in coproduct(x).terms.items():
-        inner = coproduct(ForestSum.term(a if side == "left" else b))
-        for (u, v), d in inner.terms.items():
-            key = (u, v, b) if side == "left" else (a, u, v)
-            acc = out.get(key, 0) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
 def test_comultiplication_axioms():
     pool = forests_up_to(TWO_LABELS, 4)
     rng = random.Random(5)
     pool5 = rng.sample(list(forests_of_degree(TWO_LABELS, 5)), 15)
-    dec = Decoration(1, 1)
-
-    for f in pool + pool5:
-        x = ForestSum.term(f)
-        delta = coproduct(x)
-        assert _triple(x, "left") == _triple(x, "right")
-
-        left = ForestSum.zero()
-        right = ForestSum.zero()
-        for (a, b), c in delta.terms.items():
-            left = left + ForestSum.term(b, c * counit(ForestSum.term(a)))
-            right = right + ForestSum.term(a, c * counit(ForestSum.term(b)))
-        assert left == x and right == x
-
-        for (a, b), _ in delta.terms.items():
-            assert a.degree + b.degree == f.degree
-
-        lifted = graft_operator(dec, x)
-        want = tensor(lifted, ForestSum.one())
-        for (a, b), c in delta.terms.items():
-            for g, c2 in graft_operator(dec, ForestSum.term(b)).terms.items():
-                want = want + TensorSum.term((a, g), c * c2)
-        assert coproduct(lifted) == want
+    forests = [(f,) for f in pool + pool5]
+    assert coassociativity(forests).failures == []
+    assert counit_axiom(forests).failures == []
+    assert coproduct_grading(forests).failures == []
+    lifts = [(Decoration(1, 1), f) for f in pool + pool5]
+    assert cocycle_identity(lifts).failures == []
 
     small = forests_up_to(TWO_LABELS, 2)
     fives = [(f, g) for f in pool for g in pool if f.degree + g.degree == 5]
     pairs = [(f, g) for f in small for g in small
              if 0 < f.degree + g.degree <= 4]
-    for f, g in pairs + rng.sample(fives, 15):
-        assert coproduct(ForestSum.term(f * g)) == \
-            coproduct(ForestSum.term(f)) * coproduct(ForestSum.term(g))
+    assert coproduct_multiplicativity(pairs + rng.sample(fives, 15)).failures == []

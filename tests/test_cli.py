@@ -4,9 +4,12 @@ import io
 
 import pytest
 
+from cdse import suites
 from cdse.cli import main
 from cdse.families import build_case1
+from cdse.linear import TensorSum
 from cdse.solver import parse_system_text
+from cdse.trees import EMPTY_FOREST
 
 SQUARE = "vars 1\neq 1\n  op 1 : (1 + h1)^2\n"
 NOT_HOPF = "vars 1\neq 1\n  op 1 : 1 + h1\n  op 2 : 1 + 2*h1\n"
@@ -203,6 +206,35 @@ def test_selftest(capsys):
         assert f"PASS {name}" in out
 
 
+def test_selftest_fails_on_a_broken_coproduct(capsys, monkeypatch):
+    real = suites.forest_coproduct
+
+    def drops_a_term(f):
+        delta = real(f)
+        if f.degree < 2:
+            return delta
+        return TensorSum({k: c for k, c in delta.terms.items()
+                          if k != (f, EMPTY_FOREST)})
+
+    monkeypatch.setattr(suites, "forest_coproduct", drops_a_term)
+    code, out, _ = run(capsys, "selftest", "--format", "structured")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1] == "status fail"
+    assert any(line.startswith("suite coassociativity | fail |")
+               for line in lines)
+
+
+def test_prelie_verify_fails_on_a_broken_recursion(capsys, monkeypatch):
+    real = suites.circ_recursive
+    monkeypatch.setattr(suites, "circ_recursive",
+                        lambda a, b: real(a, b).scale(2))
+    code, out, _ = run(capsys, "prelie-verify", "-N", "2")
+    assert code == 1
+    assert "FAIL grafting-closed-vs-recursive" in out
+    assert "PASS pre-lie-identity" in out
+
+
 # ---------------------------------------------------------- input plumbing
 
 def test_file_input_and_output(tmp_path, capsys):
@@ -232,6 +264,25 @@ def test_malformed_system_is_an_input_error(capsys):
     code, _, err = run(capsys, "solve", "vars 1\neq 2\n  op 1 : 1 + h1\n")
     assert code == 2
     assert "error:" in err
+
+
+def test_deep_nesting_is_an_input_error(capsys):
+    deep = "(" * 3000 + "1 + h1" + ")" * 3000
+    code, out, err = run(capsys, "solve", f"vars 1\neq 1\n  op 1 : {deep}\n",
+                         "-N", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "recursion" in err
+
+
+def test_exhausted_memory_is_an_input_error(capsys, monkeypatch):
+    def exhausts(S, N):
+        raise MemoryError
+
+    monkeypatch.setattr("cdse.cli.solve", exhausts)
+    code, out, err = run(capsys, "solve", SQUARE, "-N", "2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_order_must_be_positive(capsys):

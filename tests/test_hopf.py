@@ -22,6 +22,8 @@ from cdse import (
     single,
     forests_of_degree,
 )
+from cdse.suites import (cocycle_identity, coassociativity, counit_axiom,
+                         coproduct_grading, coproduct_multiplicativity)
 from cdse.trees import EMPTY_FOREST
 
 from helpers import TWO_LABELS, cut_coproduct, forests_up_to
@@ -79,43 +81,20 @@ def test_coproduct_of_unit():
     assert coproduct(ForestSum.zero()) == TensorSum.zero()
 
 
-def _triple(x: ForestSum, side: str):
-    out = {}
-    for (a, b), c in coproduct(x).terms.items():
-        inner = coproduct(ForestSum.term(a if side == "left" else b))
-        for (u, v), d in inner.terms.items():
-            key = (u, v, b) if side == "left" else (a, u, v)
-            acc = out.get(key, 0) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
 def test_coassociativity_exhaustive_degree_4():
-    for f in forests_up_to(TWO_LABELS, 4):
-        x = ForestSum.term(f)
-        assert _triple(x, "left") == _triple(x, "right")
+    pool = [(f,) for f in forests_up_to(TWO_LABELS, 4)]
+    assert coassociativity(pool).failures == []
 
 
 def test_coassociativity_sampled_degree_5():
     pool = list(forests_of_degree(TWO_LABELS, 5))
     rng = random.Random(11)
-    for f in rng.sample(pool, 20):
-        x = ForestSum.term(f)
-        assert _triple(x, "left") == _triple(x, "right")
+    assert coassociativity([(f,) for f in rng.sample(pool, 20)]).failures == []
 
 
 def test_counit_axiom():
-    for f in forests_up_to(TWO_LABELS, 4):
-        x = ForestSum.term(f)
-        left = ForestSum.zero()
-        right = ForestSum.zero()
-        for (a, b), c in coproduct(x).terms.items():
-            left = left + ForestSum.term(b, c * counit(ForestSum.term(a)))
-            right = right + ForestSum.term(a, c * counit(ForestSum.term(b)))
-        assert left == x and right == x
+    pool = [(f,) for f in forests_up_to(TWO_LABELS, 4)]
+    assert counit_axiom(pool).failures == []
 
 
 def test_counit_values():
@@ -126,34 +105,20 @@ def test_counit_values():
 
 def test_multiplicativity():
     pool = forests_up_to(TWO_LABELS, 3)
-    for f in pool:
-        for g in pool:
-            if f.degree + g.degree > 4:
-                continue
-            assert (coproduct(ForestSum.term(f * g))
-                    == coproduct(ForestSum.term(f)) * coproduct(ForestSum.term(g)))
+    pairs = [(f, g) for f in pool for g in pool if f.degree + g.degree <= 4]
+    assert coproduct_multiplicativity(pairs).failures == []
 
 
 def test_cocycle_identity():
     # the graft operator B satisfies delta(B(x)) = B(x) (x) 1 + (id (x) B) delta(x)
-    for d in (A, Decoration(1, 2)):
-        for f in forests_up_to(TWO_LABELS, 4):
-            x = ForestSum.term(f)
-            bx = graft_operator(d, x)
-            lhs = coproduct(bx)
-            rhs = TensorSum.zero()
-            for (a, b), c in coproduct(x).terms.items():
-                rhs = rhs + tensor(ForestSum.term(a, c),
-                                   graft_operator(d, ForestSum.term(b)))
-            for key, c in tensor(bx, ForestSum.one()).terms.items():
-                rhs = rhs + TensorSum.term(key, c)
-            assert lhs == rhs
+    pool = [(d, f) for d in (A, Decoration(1, 2))
+            for f in forests_up_to(TWO_LABELS, 4)]
+    assert cocycle_identity(pool).failures == []
 
 
 def test_grading():
-    for f in forests_up_to(TWO_LABELS + (Decoration(1, 2),), 4):
-        for (a, b) in coproduct(ForestSum.term(f)).terms:
-            assert a.degree + b.degree == f.degree
+    pool = [(f,) for f in forests_up_to(TWO_LABELS + (Decoration(1, 2),), 4)]
+    assert coproduct_grading(pool).failures == []
 
 
 def test_bidegree_selector():
@@ -218,3 +183,26 @@ def test_tensor_pairing_factorizes():
     b = ForestSum.term(Forest((leaf(1), leaf(1))))
     lhs = tensor_pairing(tensor(a, b), tensor(a, b))
     assert lhs == pairing(a, a) * pairing(b, b) == 2
+
+
+# ------------------------------------------------- the accumulation kernel
+
+def test_zero_coefficients_leave_no_key():
+    f = single(leaf(1))
+    assert ForestSum({f: 0}).terms == {}
+    assert ForestSum([(f, 1), (f, -1)]).terms == {}
+    assert ForestSum.zero().add_scaled(ForestSum.term(f), 0).terms == {}
+
+
+def test_constructor_keeps_coefficients_rational():
+    f = single(leaf(1))
+    got = ForestSum({f: 0.5}).terms[f]
+    assert type(got) is Fraction and got == Fraction(1, 2)
+
+
+def test_add_scaled_is_in_place():
+    x = ForestSum.of_tree(leaf(1))
+    y = ForestSum.of_tree(leaf(2))
+    assert x.add_scaled(y, Fraction(1, 2)) is x
+    assert x == ForestSum.of_tree(leaf(1)) + ForestSum.of_tree(leaf(2), Fraction(1, 2))
+    assert x.add_scaled(y, -Fraction(1, 2)) == ForestSum.of_tree(leaf(1))

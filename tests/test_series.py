@@ -260,6 +260,30 @@ def test_variable_range_is_checked_at_evaluation():
         expr_series(parse_expr("1 + h0"), 2, 4)
 
 
+def one_variable_series(e):
+    return expr_series(e, 1, 3)
+
+
+# these texts reach users as 'error: ...' lines; the last two pin which
+# error wins when both a power's base and its exponent are at fault
+@pytest.mark.parametrize("evaluate, text, message", [
+    (expr_const, "q", "parameter q left uninstantiated"),
+    (one_variable_series, "1 + q", "parameter q left uninstantiated"),
+    (expr_const, "1 + h1", "variable inside a constant context"),
+    (expr_const, "0^-1", "negative power of zero"),
+    (expr_const, "2^(1/2)", "irrational constant 2^1/2"),
+    (expr_const, "exp(1)", "irrational constant exp value"),
+    (expr_const, "log(2)", "irrational constant log value"),
+    (one_variable_series, "h3", "variable h3 out of range (nvars=1)"),
+    (expr_const, "(0^-1)^(2^(1/2))", "negative power of zero"),
+    (one_variable_series, "h3^q", "parameter q left uninstantiated"),
+])
+def test_evaluation_error_messages(evaluate, text, message):
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse_expr(text))
+    assert str(info.value) == message
+
+
 EXPRS = [
     "1", "-1", "3/4", "h1", "q", "1 + h1", "1 - 2*h2", "(1 + h1)^2",
     "(1 - h1)^(-q)", "(1 + h1)^(1 + 2*q) * (1 - h2)^(-q)",
