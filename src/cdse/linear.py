@@ -140,6 +140,13 @@ class ForestSum(LinComb):
     def truncate(self, n: int) -> "ForestSum":
         return ForestSum({k: v for k, v in self.terms.items() if k.degree <= n})
 
+    def mul_upto(self, other: "ForestSum", n: int) -> "ForestSum":
+        """(self * other).truncate(n), without forming the pairs of degree > n."""
+        return self._like(_accumulate({}, (
+            (fa * fb, ca * cb)
+            for fa, ca in self.terms.items() if fa.degree <= n
+            for fb, cb in other.terms.items() if fa.degree + fb.degree <= n)))
+
 
 def forest_sum_text(x: ForestSum) -> str:
     """`coeff * forest` terms joined by ` + `, in canonical forest order."""

@@ -225,7 +225,7 @@ def substitute(f: TruncatedSeries, args, bound: int) -> ForestSum:
         if cache is None:
             raise EvaluationError(f"no argument supplied for h{j}")
         while len(cache) <= e:
-            cache.append((cache[-1] * args[j]).truncate(bound))
+            cache.append(cache[-1].mul_upto(args[j], bound))
         return cache[e]
 
     out = ForestSum.zero()
@@ -235,7 +235,7 @@ def substitute(f: TruncatedSeries, args, bound: int) -> ForestSum:
         term = one.scale(c)
         for j, e in enumerate(p, start=1):
             if e:
-                term = (term * power(j, e)).truncate(bound)
+                term = term.mul_upto(power(j, e), bound)
         out.add_scaled(term)
     return out
 

@@ -29,7 +29,7 @@ from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_instantiate,
                      expr_rescale_var, expr_series, expr_text,
                      expr_uses_param, parse_expr, substitute)
-from .trees import Decoration, Forest, Tree, single, trees_of_degree
+from .trees import Decoration, Tree, single
 
 # depth used when comparing operator series for identity or zeroness;
 # templates are closed forms, so agreement here is taken as agreement
@@ -237,54 +237,83 @@ class Solution:
                 if self.components[(i, n)]]
 
 
+def _grafts(support, caps, slots, kept, rest):
+    """Child multisets of total degree rest for one operator.
+
+    Children are drawn from kept (degree -> [(tree, coefficient, eq)], in
+    canonical order) and the exponent vector p of a multiset must lie in
+    support, the nonzero coefficients of the operator's series.  caps[j] is
+    the largest p_j over the support and slots the largest |p|; the search
+    never exceeds them, so its work follows the nonzero solution.
+    Yields (children, p, product of a^mult / mult! over distinct children).
+    """
+    counts = [0] * len(caps)
+    picked = []
+
+    def rec(rest, low, start, slots, weight):
+        if rest == 0:
+            p = tuple(counts)
+            if p in support:
+                yield picked, p, weight
+            return
+        if slots == 0:
+            return
+        # children come in nondecreasing degree, so a next degree e leaves
+        # either nothing or at least e behind: e <= rest // 2 or e == rest
+        degrees = [rest] if slots == 1 else [*range(low, rest // 2 + 1), rest]
+        for e in degrees:
+            if e < low:
+                continue
+            row = kept.get(e, ())
+            for k in range(start if e == low else 0, len(row)):
+                t, a, j = row[k]
+                room = min(caps[j] - counts[j], slots, rest // e)
+                power = weight
+                for mult in range(1, room + 1):
+                    power = power * a / mult
+                    picked.append(t)
+                    counts[j] += 1
+                    yield from rec(rest - mult * e, e, k + 1, slots - mult, power)
+                del picked[len(picked) - room:]
+                counts[j] -= room
+
+    return rec(rest, 1, 0, slots, Fraction(1))
+
+
 def solve(S: SDSE, N: int) -> Solution:
-    """Coefficient recursion over canonical trees.
+    """Coefficient recursion, generated from the support of each operator.
 
     a at a single root (i,q) is the constant term of f_iq; grafting children
-    multiplies by the matching series coefficient, the multinomial factor for
-    arranging repeated subtrees, and the children's own coefficients.
+    multiplies by the matching series coefficient f_iq[p] (p counts the
+    children per equation), by prod p_j!, and by a(sub)^mult / mult! for
+    each distinct child.  A tree has a nonzero coefficient exactly when its
+    children do and p lies in the support of f_iq, so each degree is built
+    only from the nonzero trees of lower degree.
     """
     if N < 1:
         raise SystemFormatError("degree bound must be >= 1")
-    fcoef = {}
+    ops = []
     for i in range(1, S.nvars + 1):
         for q in S.degrees(i, N):
-            fcoef[(i, q)] = S.op_series(i, q, N - q)
-    memo = {}
-
-    def coeff(t: Tree) -> Fraction:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        d = t.decoration
-        fs = fcoef[(d.eq, d.degree)]
-        exps = [0] * S.nvars
-        val = Fraction(1)
-        denom = 1
-        for sub, mult in Forest(t.children).grouped():
-            a = coeff(sub)
-            if a == 0:
-                memo[t] = Fraction(0)
-                return memo[t]
-            val *= a ** mult
-            denom *= math.factorial(mult)
-            exps[sub.decoration.eq - 1] += mult
-        for p in exps:
-            val *= math.factorial(p)
-        val = val * fs.coeff(tuple(exps)) / denom
-        memo[t] = val
-        return val
-
-    decs = S.decorations(N)
+            support = S.op_series(i, q, N - q).coeffs
+            if support:
+                caps = [max(p[j] for p in support) for j in range(S.nvars)]
+                ops.append((Decoration(i, q), support, caps, max(map(sum, support))))
+    kept = {}
     components = {}
     for n in range(1, N + 1):
-        per_eq = {}
-        for t in trees_of_degree(decs, n):
-            a = coeff(t)
-            if a:
-                per_eq.setdefault(t.decoration.eq, {})[single(t)] = a
-        for i in range(1, S.nvars + 1):
-            components[(i, n)] = ForestSum(per_eq.get(i, {}))
+        per_eq = {i: [] for i in range(1, S.nvars + 1)}
+        for dec, support, caps, slots in ops:
+            if dec.degree > n:
+                continue
+            for kids, p, weight in _grafts(support, caps, slots, kept, n - dec.degree):
+                a = support[p] * weight * math.prod(map(math.factorial, p))
+                per_eq[dec.eq].append((Tree(dec, kids), a))
+        kept[n] = []
+        for i, grown in per_eq.items():
+            grown.sort(key=lambda ta: ta[0].key)
+            components[(i, n)] = ForestSum((single(t), a) for t, a in grown)
+            kept[n].extend((t, a, i - 1) for t, a in grown)
     return Solution(S, N, components)
 
 

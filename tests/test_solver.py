@@ -33,13 +33,17 @@ from cdse import (
     verify_coefficient_ladder,
 )
 from cdse.families import (
+    CycleVertex,
     FundamentalData,
+    QuasiCyclicData,
     Vertex,
     build_case1,
     build_case2,
     build_fundamental,
+    build_quasicyclic,
 )
 from cdse.solver import INCONSISTENT, VACUOUS, component_monomials
+from cdse.trees import _trees_table
 
 from helpers import lambda_by_surgery
 
@@ -61,6 +65,39 @@ def intro_system():
         Vertex(3, "damped", beta=F(1), degrees=(1,)),
     ])
     return rescale_variable(build_fundamental(data), 1, 3)
+
+
+# the five-kind, stacked-extension and three-cycle systems of test_families.py
+
+def five_kinds():
+    return build_fundamental(FundamentalData([
+        Vertex(1, "damped", beta=F(1), degrees=(1,)),
+        Vertex(2, "reduced", degrees=(1,)),
+        Vertex(3, "scaled", a={1: F(1), 2: F(2)}, degrees=(1,)),
+        Vertex(4, "shifted", nu=F(2), a={1: F(1)}, degrees=(1, 2)),
+        Vertex(5, "relay", nu=F(3), a={3: F(1, 2)}, degrees=(1, 2)),
+    ]))
+
+
+def stacked_extensions():
+    return build_fundamental(FundamentalData([
+        Vertex(1, "damped", beta=F(1), degrees=(1,)),
+        Vertex(2, "scaled", a={1: F(1)}, degrees=(1,)),
+        Vertex(3, "extension", a={2: F(1)}, degrees=(1, 2)),
+        Vertex(4, "extension", a={2: F(1)}, degrees=(1, 2)),
+        Vertex(5, "extension", a={3: F(2), 4: F(3)}, degrees=(1, 2, 3)),
+    ]))
+
+
+def three_cycle():
+    return build_quasicyclic(QuasiCyclicData(3, [
+        CycleVertex(1, 0, F(1), (2,), (1,)),
+        CycleVertex(2, 1, F(1), (3,), (1,)),
+        CycleVertex(3, 2, F(1), (1,), (1,)),
+    ]))
+
+
+LADDER = "vars 1\neq 1\n  op 1 : 1 + h1\n"
 
 
 # ----------------------------------------------------- parsing and normalize
@@ -153,12 +190,34 @@ def test_solve_equals_oracle():
         build_case1({1}, F(2), F(3)),
         build_case2({1, 2, 3}, 2, F(-1)),
         intro_system(),
+        five_kinds(),
+        stacked_extensions(),
+        three_cycle(),
+        sq(LADDER),
     ]
     for S in systems:
         a, b = solve(S, 5), solve_oracle(S, 5)
         for i in range(1, S.nvars + 1):
             for n in range(1, 6):
                 assert a.component(i, n) == b.component(i, n)
+
+
+def test_ladder_system_solves_deep():
+    sol = solve(sq(LADDER), 200)
+    for n in range(1, 201):
+        assert sol.component(1, n) == ForestSum.of_tree(ladder(*[(1, 1)] * n))
+
+
+def test_five_kinds_tree_count():
+    sol = solve(five_kinds(), 7)
+    assert sum(len(comp.terms) for comp in sol.components.values()) == 5434
+
+
+def test_solve_leaves_the_enumeration_cache_alone():
+    before = _trees_table.cache_info().currsize
+    solve(intro_system(), 5)
+    solve(sq(SQUARE), 6)
+    assert _trees_table.cache_info().currsize == before
 
 
 def test_fixed_point_property():
