@@ -1,12 +1,8 @@
-"""Dense exact linear algebra over Q: just enough for membership questions."""
+"""Dense exact linear algebra over Q: the one elimination, rref."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def rref(rows):
@@ -31,58 +27,3 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def solve(rows, rhs):
-    """One solution x of (rows) x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
-    return x
-
-
-def nullspace(rows, ncols):
-    """Basis of {w : M w = 0} for the matrix with the given rows."""
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
-    m, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
-        basis.append(v)
-    return basis
-
-
-def in_span(vectors, target):
-    """Decide target ∈ span(vectors); exact over Q.
-
-    Returns (coefficients, None) on membership, else (None, witness) where
-    the witness functional annihilates every vector but pairs to a nonzero
-    rational with the target.
-    """
-    ncols = len(target)
-    if vectors:
-        cols = [list(col) for col in zip(*vectors)]  # matrix with vector columns
-        coeffs = solve(cols, target)
-        if coeffs is not None:
-            return coeffs, None
-    elif not any(target):
-        return [], None
-    for w in nullspace(vectors, ncols):
-        if dot(w, target):
-            return None, w
-    raise AssertionError("unreachable: target neither in span nor separated")

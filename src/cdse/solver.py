@@ -392,21 +392,40 @@ class HopfReport:
         return not self.failures
 
 
-def _dense(span, slice_):
-    """Sorted support of the span tensors and the slice, with the tensors
-    as dense rows and the slice as a dense target over it."""
-    coords = sorted({key for vec in span for key in vec.terms}
-                    | set(slice_.terms),
+def _support_rows(vecs):
+    """Sorted support of the tensor sums, and each sum as a dense row over it."""
+    coords = sorted({key for vec in vecs for key in vec.terms},
                     key=lambda fg: (fg[0].key, fg[1].key))
     index = {fg: pos for pos, fg in enumerate(coords)}
-
-    def row(vec):
-        out = [Fraction(0)] * len(coords)
+    rows = []
+    for vec in vecs:
+        row = [Fraction(0)] * len(coords)
         for fg, c in vec.terms.items():
-            out[index[fg]] = c
-        return out
+            row[index[fg]] = c
+        rows.append(row)
+    return coords, rows
 
-    return coords, [row(vec) for vec in span], row(slice_)
+
+def _separate(echelon, pivots, target):
+    """Position and dense form of a functional that kills every echelon row
+    but not target, or None when target lies in their span.
+
+    Reducing target by the rows leaves t' with zeros at the pivots; its
+    first nonzero entry c gives w = e_c - sum_r echelon[r][c] e_(pivot r),
+    and <w, target> = t'_c.
+    """
+    for row, p in zip(echelon, pivots):
+        f = target[p]
+        if f:
+            target = [a - f * b if b else a for a, b in zip(target, row)]
+    c = next((c for c, x in enumerate(target) if x), None)
+    if c is None:
+        return None
+    w = [Fraction(0)] * len(target)
+    w[c] = Fraction(1)
+    for row, p in zip(echelon, pivots):
+        w[p] = -row[c]
+    return w, target[c]
 
 
 def check_hopf(S: SDSE, N: int) -> HopfReport:
@@ -414,8 +433,10 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
 
     For homogeneous x_i(n), every bidegree (k, n-k) slice of its coproduct
     must be a combination of u (x) v with u, v monomials in the components.
-    Membership is decided exactly; a failure comes with a separating
-    functional (checkable by pairing it against slice and span).
+    That span depends on (k, n-k) alone, so it is eliminated once and every
+    equation's slice is reduced against the echelon rows.  Membership is
+    decided exactly; a failure comes with a separating functional
+    (checkable by pairing it against slice and span).
     """
     sol = solve(S, N)
     mono_cache = {}
@@ -427,24 +448,25 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
 
     checks = 0
     failures = []
-    for i in range(1, S.nvars + 1):
-        for n in range(2, N + 1):
-            comp = sol.component(i, n)
-            if not comp:
-                continue
-            delta = coproduct(comp)
-            for k in range(1, n):
-                checks += 1
-                slice_ = delta.bidegree(k, n - k)
-                span = [tensor(u, v)
-                        for _, u in monomials(k) for _, v in monomials(n - k)]
-                coords, vectors, target = _dense(span, slice_)
-                _, witness = linalg.in_span(vectors, target)
-                if witness is not None:
-                    wit = {coords[pos]: w for pos, w in enumerate(witness) if w}
-                    pairing = sum((w * slice_.terms.get(fg, Fraction(0))
-                                   for fg, w in wit.items()), Fraction(0))
+    for n in range(2, N + 1):
+        deltas = [(i, coproduct(sol.component(i, n)))
+                  for i in range(1, S.nvars + 1) if sol.component(i, n)]
+        if not deltas:
+            continue
+        for k in range(1, n):
+            checks += len(deltas)
+            slices = [delta.bidegree(k, n - k) for _, delta in deltas]
+            span = [tensor(u, v)
+                    for _, u in monomials(k) for _, v in monomials(n - k)]
+            coords, rows = _support_rows(span + slices)
+            echelon, pivots = linalg.rref(rows[:len(span)])
+            for (i, _), target in zip(deltas, rows[len(span):]):
+                found = _separate(echelon, pivots, target)
+                if found is not None:
+                    w, pairing = found
+                    wit = {coords[pos]: x for pos, x in enumerate(w) if x}
                     failures.append(HopfFailure(i, n, k, wit, pairing))
+    failures.sort(key=lambda f: (f.eq, f.degree, f.left_degree))
     return HopfReport(N, checks, failures, sol)
 
 
@@ -454,21 +476,20 @@ def slice_coordinates(sol: Solution, i: int, n: int, k: int):
 
     Returns a dict keyed by (left_label, right_label) with rational values,
     or None when the monomial tensors are linearly dependent (no unique
-    reading) or the slice falls outside their span.
+    reading) or the slice falls outside their span.  One elimination of
+    [tensor columns | slice column] decides both: the pivots must be
+    exactly the tensor columns, and the last column holds the coordinates.
     """
     delta = coproduct(sol.component(i, n))
     slice_ = delta.bidegree(k, n - k)
     span = [((la, lb), tensor(u, v))
             for la, u in component_monomials(sol, k)
             for lb, v in component_monomials(sol, n - k)]
-    _, vectors, target = _dense([vec for _, vec in span], slice_)
-    _, pivots = linalg.rref([row[:] for row in vectors])
-    if len(pivots) < len(span):
+    _, rows = _support_rows([vec for _, vec in span] + [slice_])
+    m, pivots = linalg.rref([list(col) for col in zip(*rows)])
+    if pivots != list(range(len(span))):
         return None
-    coeffs, _ = linalg.in_span(vectors, target)
-    if coeffs is None:
-        return None
-    return {label: c for (label, _), c in zip(span, coeffs) if c}
+    return {label: m[r][-1] for r, (label, _) in enumerate(span) if m[r][-1]}
 
 
 # ----------------------------------------------------------- lambda tables

@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple
 
-from .hopf import coproduct, forest_coproduct, graft_operator, pairing
-from .linear import ForestSum, LinComb, WordSum, tensor
+from .hopf import (coproduct, forest_coproduct, graft_operator, pairing,
+                   tensor_pairing)
+from .linear import ForestSum, LinComb, TensorSum, WordSum, tensor
 from .prelie import (circ, circ_recursive, fdb_circ, fdb_circ_recursive,
                      fdb_image, fdb_solution, fdb_solution_recursive, star)
 from .solver import check_hopf, parse_system_text, solve, solve_oracle
@@ -59,11 +60,9 @@ def grafting_closed_vs_recursive(F, G):
 @_each
 def composition_coproduct_duality(F, G, H):
     """Forests F, G, H: <F star G, H> is <F (x) G, Delta H>."""
-    x, y, h = ForestSum.term(F), ForestSum.term(G), ForestSum.term(H)
-    want = sum((c * pairing(x, ForestSum.term(a)) * pairing(y, ForestSum.term(b))
-                for (a, b), c in forest_coproduct(H).terms.items()),
-               Fraction(0))
-    return pairing(star(x, y), h) == want
+    want = tensor_pairing(TensorSum.of(F, G), forest_coproduct(H))
+    return pairing(star(ForestSum.term(F), ForestSum.term(G)),
+                   ForestSum.term(H)) == want
 
 
 @_each

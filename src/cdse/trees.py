@@ -195,11 +195,20 @@ def forests_of_degree(decorations, n: int) -> tuple:
 # ------------------------------------------------------------ serialization
 
 def tree_text(t: Tree) -> str:
-    bits = [f"({t.decoration.eq}.{t.decoration.degree}:"]
-    for c in t.children:
-        bits.append(" ")
-        bits.append(tree_text(c))
-    bits.append(")")
+    """(eq.degree: child child ...), written with an explicit stack so that
+    deep ladders stay clear of the recursion limit."""
+    bits = []
+    todo = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            bits.append(item)
+            continue
+        bits.append(f"({item.decoration.eq}.{item.decoration.degree}:")
+        todo.append(")")
+        for c in reversed(item.children):
+            todo.append(c)
+            todo.append(" ")
     return "".join(bits)
 
 

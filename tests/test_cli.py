@@ -276,6 +276,16 @@ def test_deep_nesting_is_an_input_error(capsys):
     assert "recursion" in err
 
 
+def test_deep_ladder_solution_prints(capsys):
+    N = 1500
+    code, out, err = run(capsys, "solve", "vars 1\neq 1\n  op 1 : 1 + h1\n",
+                         "-N", str(N))
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    assert last.startswith(f"x_1({N}) = 1 * (1.1: (1.1:")
+    assert last.endswith(")" * N)
+
+
 def test_exhausted_memory_is_an_input_error(capsys, monkeypatch):
     def exhausts(S, N):
         raise MemoryError

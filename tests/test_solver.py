@@ -56,6 +56,8 @@ def sq(text, strict=True):
 
 SQUARE = "vars 1\neq 1\n  op 1 : (1 + h1)^2\n"
 NOT_HOPF = "vars 1\neq 1\n  op 1 : 1 + h1\n  op 2 : 1 + 2*h1\n"
+TWO_NOT_HOPF = ("vars 2\neq 1\n  op 1 : 1 + h2\n"
+                "eq 2\n  op 1 : 1 + h1^2\n  op 2 : 1 + 3*h1\n")
 
 
 def intro_system():
@@ -272,27 +274,63 @@ def test_two_operator_case2_shape_is_hopf():
     assert check_hopf(S, 4).is_hopf
 
 
+def assert_certified(rep):
+    """Every failure's functional pairs to its pairing with the slice and
+    vanishes on every monomial tensor of that bidegree."""
+    sol = rep.solution
+    for fail in rep.failures:
+        k, m = fail.left_degree, fail.degree - fail.left_degree
+        slice_ = coproduct(sol.component(fail.eq, fail.degree)).bidegree(k, m)
+        applied = sum((w * slice_.terms.get(fg, F(0))
+                       for fg, w in fail.witness.items()), F(0))
+        assert applied == fail.pairing != 0
+        for _, u in component_monomials(sol, k):
+            for _, v in component_monomials(sol, m):
+                prod = tensor(u, v)
+                assert sum((w * prod.terms.get(fg, F(0))
+                            for fg, w in fail.witness.items()), F(0)) == 0
+
+
 def test_counterexample_certificate():
     """The returned functional must separate the slice from the span."""
-    S = sq(NOT_HOPF)
-    rep = check_hopf(S, 3)
+    rep = check_hopf(sq(NOT_HOPF), 3)
     assert not rep.is_hopf
     fail = rep.failures[0]
     assert (fail.eq, fail.degree, fail.left_degree) == (1, 3, 1)
-    assert fail.pairing != 0
+    assert_certified(rep)
+
+
+def test_multi_equation_certificates():
+    """One echelon form serves every equation's slice of a bidegree; each
+    equation's witness must still separate its own slice."""
+    rep = check_hopf(sq(TWO_NOT_HOPF), 5)
+    assert not rep.is_hopf
+    assert {fail.eq for fail in rep.failures} == {1, 2}
+    assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == sorted(
+        (f.eq, f.degree, f.left_degree) for f in rep.failures)
+    assert_certified(rep)
+
+
+def test_one_elimination_per_bidegree(monkeypatch):
+    import cdse.linalg
+    calls = []
+    rref = cdse.linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(cdse.linalg, "rref", counted)
+    N = 3
+    rep = check_hopf(five_kinds(), N)
+    assert rep.is_hopf and rep.checks > len(calls)
+    assert 0 < len(calls) <= sum(n - 1 for n in range(2, N + 1))
 
     sol = rep.solution
-    slice_ = coproduct(sol.component(fail.eq, fail.degree)).bidegree(
-        fail.left_degree, fail.degree - fail.left_degree)
-    applied = sum((w * slice_.terms.get(fg, F(0))
-                   for fg, w in fail.witness.items()), F(0))
-    assert applied == fail.pairing != 0
-    # and it vanishes on every monomial tensor of that bidegree
-    for _, u in component_monomials(sol, fail.left_degree):
-        for _, v in component_monomials(sol, fail.degree - fail.left_degree):
-            prod = tensor(u, v)
-            assert sum((w * prod.terms.get(fg, F(0))
-                        for fg, w in fail.witness.items()), F(0)) == 0
+    for n, k in ((2, 1), (3, 1), (3, 2)):
+        calls.clear()
+        slice_coordinates(sol, 1, n, k)
+        assert len(calls) == 1
 
 
 def test_hopf_counterexample_has_describe_text():

@@ -193,6 +193,12 @@ def test_text_examples():
     assert forest_text(single(leaf(1)) * single(leaf(2))) == "(1.1:) (2.1:)"
 
 
+def test_deep_ladder_text_stays_clear_of_the_recursion_limit():
+    depth = 1500
+    want = "(1.1: " * (depth - 1) + "(1.1:" + ")" * depth
+    assert tree_text(ladder(*[A] * depth)) == want
+
+
 def test_text_round_trip_exhaustive():
     for t in trees_up_to(TWO_LABELS + (C,), 4):
         assert parse_tree(tree_text(t)) == t
