@@ -438,6 +438,37 @@ def expr_series(e, nvars: int, trunc: int, q: Optional[int] = None) -> Truncated
     return _evaluate(e, q, (nvars, trunc))
 
 
+def expr_degree_bound(e) -> Optional[int]:
+    """Upper bound on the total degree of e as a polynomial, or None.
+
+    A constant part has bound 0 and a variable 1; Add and Sub take the max
+    of their parts, Mul the sum, and a power with a natural-number exponent
+    the multiple.  exp, log and any other power of a nonconstant base are
+    not polynomials and have no bound.
+    """
+    if isinstance(e, _LEAVES):
+        return 1 if isinstance(e, Var) else 0
+    if isinstance(e, Pow):
+        base = expr_degree_bound(e.base)
+        if base == 0:
+            return 0
+        try:
+            r = expr_const(e.exponent)
+        except EvaluationError:
+            return None
+        if base is None or r.denominator != 1 or r < 0:
+            return None
+        return base * r.numerator
+    parts = [expr_degree_bound(part) for part in _parts(e)]
+    if None in parts:
+        return None
+    if isinstance(e, Mul):
+        return sum(parts)
+    if isinstance(e, (Exp, Log)):
+        return 0 if parts == [0] else None
+    return max(parts)
+
+
 def expr_uses_param(e) -> bool:
     if isinstance(e, _LEAVES):
         return isinstance(e, Param)

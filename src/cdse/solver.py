@@ -24,15 +24,16 @@ from typing import Optional
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import ForestSum, TensorSum, tensor
+from .linear import ForestSum, _accumulate, tensor
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
-                     expr_at_zero, expr_const, expr_instantiate,
-                     expr_rescale_var, expr_series, expr_text,
-                     expr_uses_param, parse_expr, substitute)
+                     expr_at_zero, expr_const, expr_degree_bound,
+                     expr_instantiate, expr_rescale_var, expr_series,
+                     expr_text, expr_uses_param, parse_expr, substitute)
 from .trees import Decoration, Tree, single
 
-# depth used when comparing operator series for identity or zeroness;
-# templates are closed forms, so agreement here is taken as agreement
+# depth used when comparing operator series for identity or zeroness; a
+# polynomial is compared at its exact degree bound when that is higher, and
+# other closed forms are taken to agree when they agree to this depth
 INSPECT_DEPTH = 8
 
 INCONSISTENT = "inconsistent"
@@ -54,9 +55,15 @@ def _series_at(expr, nvars, trunc, q=None):
         raise SystemFormatError(str(exc)) from exc
 
 
-def _exprs_equal(a, b, nvars, qs=(None,)) -> bool:
-    return all(_series_at(a, nvars, INSPECT_DEPTH, q) == _series_at(b, nvars, INSPECT_DEPTH, q)
-               for q in qs)
+def _inspect_depth(*exprs) -> int:
+    """INSPECT_DEPTH, raised to the degree bound of any polynomial in exprs."""
+    bounds = (expr_degree_bound(e) for e in exprs)
+    return max([INSPECT_DEPTH, *(b for b in bounds if b is not None)])
+
+
+def _exprs_equal(a, b, nvars) -> bool:
+    depth = _inspect_depth(a, b)
+    return _series_at(a, nvars, depth) == _series_at(b, nvars, depth)
 
 
 class SDSE:
@@ -172,7 +179,7 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
     notes = list(raw.notes)
     ops = {}
     for (i, q), expr in raw.ops.items():
-        s = _series_at(expr, raw.nvars, INSPECT_DEPTH)
+        s = _series_at(expr, raw.nvars, _inspect_depth(expr))
         if s.is_zero():
             notes.append(f"dropped zero operator ({i},{q})")
             continue
@@ -392,81 +399,105 @@ class HopfReport:
         return not self.failures
 
 
-def _support_rows(vecs):
-    """Sorted support of the tensor sums, and each sum as a dense row over it."""
-    coords = sorted({key for vec in vecs for key in vec.terms},
-                    key=lambda fg: (fg[0].key, fg[1].key))
-    index = {fg: pos for pos, fg in enumerate(coords)}
-    rows = []
-    for vec in vecs:
-        row = [Fraction(0)] * len(coords)
-        for fg, c in vec.terms.items():
-            row[index[fg]] = c
-        rows.append(row)
-    return coords, rows
+class _Span:
+    """Sparse echelon basis of a span of forest sums, such as U_d."""
+
+    def __init__(self, vecs):
+        self.forests = sorted({f for vec in vecs for f in vec.terms})
+        self.index = index = {f: col for col, f in enumerate(self.forests)}
+        echelon, pivots = linalg.rref(
+            [{index[f]: c for f, c in vec.terms.items()} for vec in vecs])
+        self.rows = dict(zip(pivots, echelon))  # pivot -> echelon row
+
+    def separate(self, vec):
+        """A functional phi that kills the span but not vec, as (dict
+        Forest -> Fraction, phi(vec)); None when vec lies in the span.
+
+        A forest outside the span's support is its own phi.  Otherwise
+        reducing vec by the echelon rows leaves t with no entry at a pivot;
+        its first nonzero entry c gives phi = e_c - sum_r R_r[c] e_(pivot r),
+        and phi(vec) = t_c.
+        """
+        outside = [f for f in vec if f not in self.index]
+        if outside:
+            f = min(outside)
+            return {f: Fraction(1)}, vec[f]
+        t = {self.index[f]: c for f, c in vec.items()}
+        for p in [col for col in t if col in self.rows]:
+            f = t[p]
+            _accumulate(t, ((col, -f * x) for col, x in self.rows[p].items()))
+        if not t:
+            return None
+        c = min(t)
+        phi = {self.forests[p]: -row[c] for p, row in self.rows.items() if c in row}
+        phi[self.forests[c]] = Fraction(1)
+        return phi, t[c]
 
 
-def _separate(echelon, pivots, target):
-    """Position and dense form of a functional that kills every echelon row
-    but not target, or None when target lies in their span.
+def _slice_witness(columns, left, right):
+    """Witness that a slice escapes left (x) right, or None when it lies in it.
 
-    Reducing target by the rows leaves t' with zeros at the pivots; its
-    first nonzero entry c gives w = e_c - sum_r echelon[r][c] e_(pivot r),
-    and <w, target> = t'_c.
+    columns maps each right forest G to the slice's column sum_F c_FG F.
+    The slice lies in left (x) right exactly when every column lies in left
+    and every row sum_G c_FG G lies in right; a failing column G gives
+    phi (x) delta_G, a failing row F gives delta_F (x) psi.
     """
-    for row, p in zip(echelon, pivots):
-        f = target[p]
-        if f:
-            target = [a - f * b if b else a for a, b in zip(target, row)]
-    c = next((c for c, x in enumerate(target) if x), None)
-    if c is None:
-        return None
-    w = [Fraction(0)] * len(target)
-    w[c] = Fraction(1)
-    for row, p in zip(echelon, pivots):
-        w[p] = -row[c]
-    return w, target[c]
+    for g in sorted(columns):
+        found = left.separate(columns[g])
+        if found is not None:
+            phi, pairing = found
+            return {(f, g): x for f, x in phi.items()}, pairing
+    rows = {}
+    for g, col in columns.items():
+        for f, c in col.items():
+            rows.setdefault(f, {})[g] = c
+    for f in sorted(rows):
+        found = right.separate(rows[f])
+        if found is not None:
+            psi, pairing = found
+            return {(f, g): x for g, x in psi.items()}, pairing
+    return None
 
 
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
 
     For homogeneous x_i(n), every bidegree (k, n-k) slice of its coproduct
-    must be a combination of u (x) v with u, v monomials in the components.
-    That span depends on (k, n-k) alone, so it is eliminated once and every
-    equation's slice is reduced against the echelon rows.  Membership is
-    decided exactly; a failure comes with a separating functional
-    (checkable by pairing it against slice and span).
+    must lie in U_k (x) U_(n-k), where U_d is the span of the degree-d
+    monomials in the components.  Since U_k (x) U_(n-k) = (U_k (x) B) meet
+    (A (x) U_(n-k)), that holds exactly when every column of the slice (one
+    per right forest) lies in U_k and every row (one per left forest) lies
+    in U_(n-k).  So each U_d is eliminated once, sparsely, for all
+    equations and bidegrees, and each coproduct is split by bidegree once.
+    Membership is decided exactly; a failure comes with a separating
+    functional phi (x) delta_G or delta_F (x) psi (checkable by pairing it
+    against slice and span).
     """
     sol = solve(S, N)
-    mono_cache = {}
+    spans = {}
 
-    def monomials(d):
-        if d not in mono_cache:
-            mono_cache[d] = component_monomials(sol, d)
-        return mono_cache[d]
+    def span(d):
+        if d not in spans:
+            spans[d] = _Span([u for _, u in component_monomials(sol, d)])
+        return spans[d]
 
     checks = 0
     failures = []
-    for n in range(2, N + 1):
-        deltas = [(i, coproduct(sol.component(i, n)))
-                  for i in range(1, S.nvars + 1) if sol.component(i, n)]
-        if not deltas:
-            continue
-        for k in range(1, n):
-            checks += len(deltas)
-            slices = [delta.bidegree(k, n - k) for _, delta in deltas]
-            span = [tensor(u, v)
-                    for _, u in monomials(k) for _, v in monomials(n - k)]
-            coords, rows = _support_rows(span + slices)
-            echelon, pivots = linalg.rref(rows[:len(span)])
-            for (i, _), target in zip(deltas, rows[len(span):]):
-                found = _separate(echelon, pivots, target)
+    for i in range(1, S.nvars + 1):
+        for n in range(2, N + 1):
+            comp = sol.component(i, n)
+            if not comp:
+                continue
+            checks += n - 1
+            # left degree k -> right forest G -> left forest F -> coefficient
+            slices = {}
+            for (f, g), c in coproduct(comp).terms.items():
+                if f.degree and g.degree:
+                    slices.setdefault(f.degree, {}).setdefault(g, {})[f] = c
+            for k in sorted(slices):
+                found = _slice_witness(slices[k], span(k), span(n - k))
                 if found is not None:
-                    w, pairing = found
-                    wit = {coords[pos]: x for pos, x in enumerate(w) if x}
-                    failures.append(HopfFailure(i, n, k, wit, pairing))
-    failures.sort(key=lambda f: (f.eq, f.degree, f.left_degree))
+                    failures.append(HopfFailure(i, n, k, *found))
     return HopfReport(N, checks, failures, sol)
 
 
@@ -477,19 +508,23 @@ def slice_coordinates(sol: Solution, i: int, n: int, k: int):
     Returns a dict keyed by (left_label, right_label) with rational values,
     or None when the monomial tensors are linearly dependent (no unique
     reading) or the slice falls outside their span.  One elimination of
-    [tensor columns | slice column] decides both: the pivots must be
-    exactly the tensor columns, and the last column holds the coordinates.
+    [tensor columns | slice column], one sparse row per (F, G) coordinate,
+    decides both: the pivots must be exactly the tensor columns, and the
+    last column holds the coordinates.
     """
-    delta = coproduct(sol.component(i, n))
-    slice_ = delta.bidegree(k, n - k)
+    slice_ = coproduct(sol.component(i, n)).bidegree(k, n - k)
     span = [((la, lb), tensor(u, v))
             for la, u in component_monomials(sol, k)
             for lb, v in component_monomials(sol, n - k)]
-    _, rows = _support_rows([vec for _, vec in span] + [slice_])
-    m, pivots = linalg.rref([list(col) for col in zip(*rows)])
-    if pivots != list(range(len(span))):
+    rows = {}
+    for col, vec in enumerate([vec for _, vec in span] + [slice_]):
+        for fg, c in vec.terms.items():
+            rows.setdefault(fg, {})[col] = c
+    m, pivots = linalg.rref(list(rows.values()))
+    last = len(span)
+    if pivots != list(range(last)):
         return None
-    return {label: m[r][-1] for r, (label, _) in enumerate(span) if m[r][-1]}
+    return {label: m[r][last] for r, (label, _) in enumerate(span) if last in m[r]}
 
 
 # ----------------------------------------------------------- lambda tables
@@ -548,35 +583,50 @@ class LambdaTable:
         return (not bad, sorted(bad))
 
 
+def _leaf_cuts(t: Tree):
+    """Triples (d, t minus one leaf decorated d, count) over the non-root
+    leaves of t.  Equal children are visited once; count says how many
+    leaves the triple stands for."""
+    pos = 0
+    for child, group in itertools.groupby(t.children):
+        mult = len(list(group))
+        others = t.children[:pos] + t.children[pos + 1:]
+        pos += mult
+        if not child.children:
+            yield child.decoration, Tree(t.decoration, others), mult
+        for dec, sub, count in _leaf_cuts(child):
+            yield dec, Tree(t.decoration, others + (sub,)), mult * count
+
+
 def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
-    """Read the structure constants off the coproduct.
+    """Read the structure constants off the leaf cuts of the solution.
 
     lambda_n for (i, (i', q)) is the ratio (coefficient of the single vertex
     (i', q) tensor t in the coproduct of x_i(n+q)) / a_t, which must agree
     over every tree t of degree n with a_t != 0; disagreement and absence get
-    their markers.
+    their markers.  An admissible cut prunes a single vertex only by cutting
+    the edge above a leaf, so that coefficient is the sum over trees s of
+    x_i(n+q) of a_s times the number of (i', q)-leaves of s whose removal
+    leaves t.  The table is read off those leaf cuts; no coproduct is formed.
     """
+    cuts = {}  # (leaf decoration, remaining tree) -> coefficient
+    for (i, m), comp in sol.components.items():
+        if m <= N:
+            for f, a in comp.terms.items():
+                _accumulate(cuts, (((dec, rest), a * count)
+                                   for dec, rest, count in _leaf_cuts(f.trees[0])))
     entries = {}
-    deltas = {}
-    for i in range(1, S.nvars + 1):
-        for m in range(1, N + 1):
-            comp = sol.component(i, m)
-            deltas[(i, m)] = coproduct(comp) if comp else TensorSum.zero()
     cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
     for i in range(1, S.nvars + 1):
         for (ip, q) in cut_decs:
-            leaf_forest = single(Tree(Decoration(ip, q)))
+            dec = Decoration(ip, q)
             for n in range(1, N - q + 1):
                 support = sol.component(i, n)
                 if not support:
                     entries[(i, (ip, q), n)] = VACUOUS
                     continue
-                delta = deltas[(i, n + q)]
-                ratios = set()
-                for f, a_t in support.terms.items():
-                    t = f.trees[0]
-                    r = delta.terms.get((leaf_forest, f), Fraction(0))
-                    ratios.add(r / a_t)
+                ratios = {cuts.get((dec, f.trees[0]), Fraction(0)) / a_t
+                          for f, a_t in support.terms.items()}
                 entries[(i, (ip, q), n)] = (ratios.pop() if len(ratios) == 1
                                             else INCONSISTENT)
     return LambdaTable(entries, N)

@@ -2,8 +2,10 @@
 
 Each oracle here reaches a quantity by a path disjoint from the library's
 own: automorphism groups by explicit permutation search, the coproduct by
-enumerating admissible edge subsets, structure constants by leaf surgery.
-The tests compare, never reuse, the production code paths.
+enumerating admissible edge subsets, structure constants by leaf surgery
+and by reading the full coproduct, and the Hopf test by dense elimination
+over the whole span of monomial tensors.  The tests compare, never reuse,
+the production code paths.
 """
 
 import itertools
@@ -15,10 +17,14 @@ from cdse import (
     ForestSum,
     TensorSum,
     Tree,
+    coproduct,
     forests_of_degree,
     single,
+    solve,
+    tensor,
     trees_of_degree,
 )
+from cdse.solver import INCONSISTENT, VACUOUS, component_monomials
 from cdse.trees import EMPTY_FOREST
 
 TWO_LABELS = (Decoration(1, 1), Decoration(2, 1))
@@ -171,6 +177,91 @@ def lambda_by_surgery(sol, i: int, ip: int, q: int, n: int):
                 total += hits * upper.coeff(single(t2))
         ratios.add(total / a_t)
     return ratios.pop() if len(ratios) == 1 else "inconsistent"
+
+
+def lambda_by_coproduct(S, sol, N):
+    """Structure-constant entries read off the full coproduct.
+
+    The coefficient of (single vertex (ip, q)) (x) t in the coproduct of
+    x_i(n+q), divided by a_t, must agree over the trees t of x_i(n).
+    """
+    entries = {}
+    deltas = {(i, m): coproduct(sol.component(i, m))
+              for i in range(1, S.nvars + 1) for m in range(1, N + 1)}
+    cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
+    for i in range(1, S.nvars + 1):
+        for (ip, q) in cut_decs:
+            leaf_forest = single(Tree(Decoration(ip, q)))
+            for n in range(1, N - q + 1):
+                support = sol.component(i, n)
+                if not support:
+                    entries[(i, (ip, q), n)] = VACUOUS
+                    continue
+                delta = deltas[(i, n + q)]
+                ratios = {delta.terms.get((leaf_forest, f), Fraction(0)) / a_t
+                          for f, a_t in support.terms.items()}
+                entries[(i, (ip, q), n)] = (ratios.pop() if len(ratios) == 1
+                                            else INCONSISTENT)
+    return entries
+
+
+# ---------------------------------------------------------- dense Hopf test
+
+def dense_rref(rows):
+    """Reduced row echelon form of dense Fraction rows, with pivot columns."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        scale = m[r][c]
+        m[r] = [x / scale if x else x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def dense_hopf_failures(S, N):
+    """The Hopf test without factoring: each bidegree (k, n-k) slice of the
+    cut coproduct of x_i(n) is reduced against a dense echelon form of all
+    monomial tensors u (x) v.  Returns (checks, failing (eq, degree, left)
+    triples in order)."""
+    sol = solve(S, N)
+    monomials = {d: [u for _, u in component_monomials(sol, d)]
+                 for d in range(1, N)}
+    checks = 0
+    failing = []
+    for i in range(1, S.nvars + 1):
+        for n in range(2, N + 1):
+            comp = sol.component(i, n)
+            if not comp:
+                continue
+            delta = TensorSum.zero()
+            for f, c in comp.terms.items():
+                delta.add_scaled(cut_coproduct(f), c)
+            for k in range(1, n):
+                checks += 1
+                span = [tensor(u, v) for u in monomials[k] for v in monomials[n - k]]
+                target = delta.bidegree(k, n - k)
+                coords = sorted({fg for vec in span + [target] for fg in vec.terms},
+                                key=lambda fg: (fg[0].key, fg[1].key))
+                echelon, pivots = dense_rref(
+                    [[vec.coeff(fg) for fg in coords] for vec in span])
+                residual = [target.coeff(fg) for fg in coords]
+                for row, p in zip(echelon, pivots):
+                    f = residual[p]
+                    if f:
+                        residual = [a - f * b if b else a
+                                    for a, b in zip(residual, row)]
+                if any(residual):
+                    failing.append((i, n, k))
+    return checks, failing
 
 
 # ------------------------------------------------------------- enumeration

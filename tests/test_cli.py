@@ -176,6 +176,23 @@ def test_build_normalizes_system_text(capsys):
     assert out.startswith("vars 1")
 
 
+def test_operator_of_degree_nine_is_not_zero(capsys):
+    # h1^9 vanishes to depth 8; its constant term 0 must still be rejected
+    code, out, err = run(capsys, "solve", "vars 1\neq 1\n  op 1 : h1^9\n",
+                         "-N", "3")
+    assert (code, out) == (2, "")
+    assert "constant term 0" in err
+
+
+def test_build_keeps_duplicates_that_differ_in_degree_nine(capsys):
+    text = "vars 1\neq 1\n  op 1 : 1 + h1\n  op 1 : 1 + h1 + h1^9\n"
+    code, out, err = run(capsys, "build", text)
+    assert (code, out) == (2, "")
+    assert "different series" in err
+    code, out, _ = run(capsys, "build", text, "--permissive")
+    assert code == 0 and "h1^9" in out
+
+
 # ------------------------------------------------------------ verify suites
 
 def test_prelie_verify(capsys):

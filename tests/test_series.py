@@ -22,7 +22,7 @@ from cdse import (
 )
 from cdse.series import (
     Add, Mul, Neg, Num, Param, Pow, Var,
-    expr_const, expr_instantiate, num,
+    expr_const, expr_degree_bound, expr_instantiate, num,
 )
 
 S = TruncatedSeries
@@ -295,6 +295,25 @@ EXPRS = [
 def test_text_round_trip(text):
     e = parse_expr(text)
     assert parse_expr(expr_text(e)) == e
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("3/4", 0),
+    ("h1", 1),
+    ("1 + h1 - h2^2", 2),
+    ("h1 * h2^3", 4),
+    ("(1 + h1)^2 * h2", 3),
+    ("(h1^2)^5", 10),
+    ("h1 - h1", 1),            # a bound, not the exact degree
+    ("2^3 + exp(0) * h1", 1),  # constant parts weigh nothing
+    ("(1 + h1)^(-1)", None),
+    ("(1 + h1)^(1/2)", None),
+    ("exp(h1)", None),
+    ("1 + log(1 + h1)", None),
+    ("(1 + h1)^q", None),
+])
+def test_degree_bound(text, bound):
+    assert expr_degree_bound(parse_expr(text)) == bound
 
 
 @given(st.integers(-4, 4), st.integers(1, 3))

@@ -1,5 +1,8 @@
 """Systems: parsing, normalization, solving, Hopf checks, structure constants."""
 
+import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,8 @@ from cdse import (
     truncate_at_1,
     verify_coefficient_ladder,
 )
+import cdse.linalg
+import cdse.solver
 from cdse.families import (
     CycleVertex,
     FundamentalData,
@@ -41,11 +46,20 @@ from cdse.families import (
     build_case2,
     build_fundamental,
     build_quasicyclic,
+    is_family_text,
+    parse_family_text,
 )
-from cdse.solver import INCONSISTENT, VACUOUS, component_monomials
+from cdse.solver import (INCONSISTENT, VACUOUS, _slice_witness, _Span,
+                         component_monomials)
 from cdse.trees import _trees_table
 
-from helpers import lambda_by_surgery
+from helpers import (dense_hopf_failures, dense_rref, lambda_by_coproduct,
+                     lambda_by_surgery)
+
+# the benchmark's named systems and rosters
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import jobs  # noqa: E402
 
 F = Fraction
 
@@ -58,6 +72,25 @@ SQUARE = "vars 1\neq 1\n  op 1 : (1 + h1)^2\n"
 NOT_HOPF = "vars 1\neq 1\n  op 1 : 1 + h1\n  op 2 : 1 + 2*h1\n"
 TWO_NOT_HOPF = ("vars 2\neq 1\n  op 1 : 1 + h2\n"
                 "eq 2\n  op 1 : 1 + h1^2\n  op 2 : 1 + 3*h1\n")
+
+# hand-made systems of one to three equations, none of them Hopf
+NOT_HOPF_SYSTEMS = {
+    "NOT_HOPF": NOT_HOPF,
+    "TWO_NOT_HOPF": TWO_NOT_HOPF,
+    "quadratic": "vars 1\neq 1\n  op 1 : 1 + h1 + h1^2\n  op 2 : 1 + h1\n",
+    "cubed": "vars 1\neq 1\n  op 1 : (1 + h1)^3\n  op 2 : (1 + h1)^2\n",
+    "gap": "vars 1\neq 1\n  op 1 : 1 + 2*h1 - h1^2\n  op 3 : 1 + h1\n",
+    "two-kinds": ("vars 2\neq 1\n  op 1 : 1 + h1 + h2\n"
+                  "eq 2\n  op 1 : 1 + 2*h1\n  op 3 : 1 + h2\n"),
+    "mixed": ("vars 2\neq 1\n  op 1 : 1 + h1*h2\n"
+              "eq 2\n  op 1 : (1 + h1)^2\n  op 2 : 1 + h1\n"),
+    "three": ("vars 3\neq 1\n  op 1 : 1 + h2\neq 2\n  op 1 : 1 + h3 + h1\n"
+              "eq 3\n  op 1 : 1 + h1^2\n  op 2 : 1 + h2\n"),
+}
+
+
+def load(text):
+    return parse_family_text(text) if is_family_text(text) else sq(text)
 
 
 def intro_system():
@@ -139,6 +172,25 @@ def test_normalize_zero_constant_term():
     # the permissive solution collapses: every component is zero
     sol = solve(S, 3)
     assert all(not sol.component(1, n) for n in (1, 2, 3))
+
+
+def test_polynomial_zeroness_at_its_exact_degree():
+    """h1^9 vanishes to INSPECT_DEPTH 8 but is not zero."""
+    text = "vars 1\neq 1\n  op 1 : h1^9\n"
+    with pytest.raises(NotHopfCompatible, match="constant term 0"):
+        sq(text)
+    assert any("non-normalizable" in note for note in sq(text, strict=False).notes)
+
+
+def test_polynomial_duplicates_compared_at_their_exact_degree():
+    text = "vars 1\neq 1\n  op 1 : 1 + h1\n  op 1 : 1 + h1 + h1^9\n"
+    with pytest.raises(NotHopfCompatible):
+        sq(text)
+    summed = sq(text, strict=False)
+    assert summed.op_series(1, 1, 9).coeff(9) == F(1, 2)
+    # equal polynomials of degree above 8 still merge
+    same = sq("vars 1\neq 1\n  op 1 : 1 + h1^9\n  op 1 : (1 + h1^9)\n")
+    assert any("merged" in note for note in same.notes)
 
 
 def test_merge_same_degree_operators():
@@ -333,6 +385,95 @@ def test_one_elimination_per_bidegree(monkeypatch):
         assert len(calls) == 1
 
 
+# every check-hopf job of the benchmark roster, then the hand-made systems
+HOPF_CASES = [(job.name, job.argv[1], int(job.argv[3]))
+              for job in jobs.roster("hopf", 0)
+              if job.argv and job.argv[0] == "check-hopf"]
+HOPF_CASES += [(f"{name} -N {N}", text, N)
+               for name, text in NOT_HOPF_SYSTEMS.items()
+               for N in ((5,) if name == "three" else (5, 6))]
+
+
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_factored_hopf_matches_dense_oracle(name, text, N):
+    """Columns in U_k and rows in U_(n-k) decide exactly what membership in
+    the whole span of monomial tensors decides."""
+    S = load(text)
+    rep = check_hopf(S, N)
+    checks, failing = dense_hopf_failures(S, N)
+    assert rep.checks == checks
+    assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == failing
+    assert rep.is_hopf == (not failing)
+    assert failing or text not in NOT_HOPF_SYSTEMS.values()
+    assert_certified(rep)
+
+
+def test_row_side_certificate():
+    """NOT_HOPF's degree-3 columns all lie in U_1, so its failure is caught on
+    a row: the witness is delta_F (x) psi with psi spread over two forests."""
+    rep = check_hopf(sq(NOT_HOPF), 3)
+    (fail,) = rep.failures
+    assert len({f for f, _ in fail.witness}) == 1
+    assert len({g for _, g in fail.witness}) == 2
+    assert_certified(rep)
+
+
+def test_column_side_certificates():
+    """A column outside U_k is caught before any row, with witness
+    phi (x) delta_G; phi kills U_k and is read off its echelon rows."""
+    a, b, c = (single(leaf(j)) for j in (1, 2, 3))
+    span = _Span([ForestSum({a: 1, b: 1})])
+    everything = _Span([ForestSum.term(f) for f in (a, b, c)])
+    # column a is not a multiple of a + b: phi = e_b - e_a, phi(a) = -1
+    assert _slice_witness({c: {a: F(1)}}, span, everything) == (
+        {(a, c): F(-1), (b, c): F(1)}, F(-1))
+    # a forest outside the span's support is its own phi
+    assert _slice_witness({c: {a: F(1), b: F(1)}, a: {c: F(2)}}, span,
+                          everything) == ({(c, a): F(1)}, F(2))
+    assert _slice_witness({c: {a: F(3), b: F(3)}}, span, everything) is None
+
+
+@pytest.mark.parametrize("S, N", [(five_kinds(), 5), (three_cycle(), 7)],
+                         ids=["FIVE", "QC3"])
+def test_check_hopf_at_scale(S, N):
+    assert check_hopf(S, N).is_hopf
+
+
+def test_sparse_rref_matches_dense():
+    """Same echelon rows and pivots as the dense elimination, zeros left
+    out, and the input rows untouched."""
+    rng = random.Random(5)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        dense = [[F(rng.choice((0, 0, 0, 1, -1, 2, F(1, 3))))
+                  for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+        rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        copies = [dict(row) for row in rows]
+        echelon, pivots = cdse.linalg.rref(rows)
+        want, want_pivots = dense_rref(dense)
+        assert pivots == want_pivots
+        assert echelon == [{c: x for c, x in enumerate(row) if x} for row in want]
+        assert rows == copies
+    assert cdse.linalg.rref([{0: F(1), 1: F(1)}, {1: F(2)}]) == (
+        [{0: F(1)}, {1: F(1)}], [0, 1])
+
+
+def test_one_elimination_per_degree(monkeypatch):
+    calls = []
+    rref = cdse.linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(cdse.linalg, "rref", counted)
+    for S, N in ((five_kinds(), 5), (sq(TWO_NOT_HOPF), 6)):
+        calls.clear()
+        check_hopf(S, N)
+        assert 0 < len(calls) <= N - 1
+
+
 def test_hopf_counterexample_has_describe_text():
     rep = check_hopf(sq(NOT_HOPF), 3)
     text = rep.failures[0].describe()
@@ -380,6 +521,25 @@ def test_lambda_against_leaf_surgery():
         tab = extract_lambda(S, sol, N)
         for (i, (ip, q), n), val in tab.items():
             assert val == lambda_by_surgery(sol, i, ip, q, n)
+
+
+def test_leaf_cut_lambda_matches_coproduct(monkeypatch):
+    """The leaf-cut table equals the one read off the full coproduct,
+    markers included, and forms no coproduct."""
+    calls = []
+    monkeypatch.setattr(cdse.solver, "coproduct",
+                        lambda x: calls.append(x) or coproduct(x))
+    gated = "vars 1\neq 1\n  op 2 : 1 + h1\n  op 3 : 1\n"  # x(1) = 0: vacuous
+    markers = set()
+    for text in (jobs.INTRO, jobs.FIVE, jobs.STACK, jobs.QC3, NOT_HOPF,
+                 jobs.CASE1_LAMBDA, gated):
+        S = load(text)
+        sol = solve(S, 5)
+        entries = extract_lambda(S, sol, 5).entries
+        assert not calls
+        assert entries == lambda_by_coproduct(S, sol, 5)
+        markers.update(v for v in entries.values() if isinstance(v, str))
+    assert markers == {INCONSISTENT, VACUOUS}
 
 
 # --------------------------------------------------------- coefficient ladder
