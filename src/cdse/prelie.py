@@ -231,10 +231,18 @@ def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
 
 def tree_weight(lam, mu, t: Tree) -> Fraction:
     """Multiplier sending a tree to a letter: leaves weigh 1, an inner
-    vertex of degree j with m children contributes falling_product(m, j)."""
-    out = falling_product(lam, mu, len(t.children), t.decoration.degree)
-    for c in t.children:
-        out *= tree_weight(lam, mu, c)
+    vertex of degree j with m children contributes falling_product(m, j).
+
+    Walked with an explicit stack so that deep ladders stay clear of the
+    recursion limit.
+    """
+    out = Fraction(1)
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        todo.extend(node.children)
+        out *= falling_product(lam, mu, len(node.children),
+                               node.decoration.degree)
     return out
 
 

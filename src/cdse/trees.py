@@ -121,10 +121,19 @@ def ladder(*decorations) -> Tree:
 
 @lru_cache(maxsize=None)
 def tree_symmetry(t: Tree) -> int:
-    """Order of the automorphism group of t fixing the root."""
+    """Order of the automorphism group of t fixing the root.
+
+    The product, over every vertex, of mult! for each run of mult equal
+    children; walked with an explicit stack so that deep ladders stay clear
+    of the recursion limit.
+    """
     s = 1
-    for sub, mult in Forest(t.children).grouped():
-        s *= math.factorial(mult) * tree_symmetry(sub) ** mult
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        todo.extend(node.children)
+        for _, run in groupby(node.children):
+            s *= math.factorial(len(tuple(run)))
     return s
 
 
@@ -238,23 +247,31 @@ def _parse_int(s: str, pos: int) -> tuple[int, int]:
 
 
 def _parse_tree(s: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(s) or s[pos] != "(":
-        raise TreeSyntaxError(f"expected '(' at position {pos}: {s!r}")
-    eq, pos = _parse_int(s, pos + 1)
-    if pos >= len(s) or s[pos] != ".":
-        raise TreeSyntaxError(f"expected '.' at position {pos}: {s!r}")
-    deg, pos = _parse_int(s, pos + 1)
-    if pos >= len(s) or s[pos] != ":":
-        raise TreeSyntaxError(f"expected ':' at position {pos}: {s!r}")
-    pos = _skip_ws(s, pos + 1)
-    kids = []
-    while pos < len(s) and s[pos] == "(":
-        kid, pos = _parse_tree(s, pos)
-        kids.append(kid)
-        pos = _skip_ws(s, pos)
-    if pos >= len(s) or s[pos] != ")":
-        raise TreeSyntaxError(f"expected ')' at position {pos}: {s!r}")
-    return Tree(Decoration(eq, deg), kids), pos + 1
+    """The tree written at s[pos:] and the position after it, read with an
+    explicit stack of open vertices so that deep ladders stay clear of the
+    recursion limit."""
+    open_vertices = []  # (decoration, children read so far)
+    while True:
+        if pos >= len(s) or s[pos] != "(":
+            raise TreeSyntaxError(f"expected '(' at position {pos}: {s!r}")
+        eq, pos = _parse_int(s, pos + 1)
+        if pos >= len(s) or s[pos] != ".":
+            raise TreeSyntaxError(f"expected '.' at position {pos}: {s!r}")
+        deg, pos = _parse_int(s, pos + 1)
+        if pos >= len(s) or s[pos] != ":":
+            raise TreeSyntaxError(f"expected ':' at position {pos}: {s!r}")
+        pos = _skip_ws(s, pos + 1)
+        open_vertices.append((Decoration(eq, deg), []))
+        # close vertices until one has a next child to read
+        while pos >= len(s) or s[pos] != "(":
+            if pos >= len(s) or s[pos] != ")":
+                raise TreeSyntaxError(f"expected ')' at position {pos}: {s!r}")
+            dec, kids = open_vertices.pop()
+            tree = Tree(dec, kids)
+            if not open_vertices:
+                return tree, pos + 1
+            open_vertices[-1][1].append(tree)
+            pos = _skip_ws(s, pos + 1)
 
 
 def parse_tree(s: str) -> Tree:

@@ -214,6 +214,25 @@ def test_prelie_verify_structured(capsys):
     assert lines[-1] == "status ok"
 
 
+def test_prelie_verify_pool_sizes(capsys):
+    code, out, _ = run(capsys, "prelie-verify", "-N", "4", "--seed", "0",
+                       "--format", "structured")
+    assert code == 0
+    assert out.splitlines() == [
+        "cdse-report 1",
+        "command prelie-verify",
+        "order 4",
+        "seed 0",
+        "suite pre-lie-identity | pass | 320",
+        "suite grafting-closed-vs-recursive | pass | 400",
+        "suite composition-coproduct-duality | pass | 17127",
+        "suite tree-to-word-morphism | pass | 1200",
+        "suite word-closed-vs-recursive | pass | 240",
+        "suite weighted-solution-two-routes | pass | 10",
+        "status ok",
+    ]
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "-N", "2")
     assert code == 0

@@ -23,13 +23,16 @@ from cdse import (
     fdb_solution,
     fdb_solution_recursive,
     fdb_surjective,
+    forests_of_degree,
     graft,
+    ladder,
     leaf,
     pairing,
     reachable_degrees,
     star,
     tree_weight,
 )
+from cdse import suites
 from cdse.families import build_case1
 from cdse.solver import solve
 
@@ -145,6 +148,59 @@ def test_star_is_dual_to_the_coproduct():
                 assert pairing(lhs_vec, h) == rhs
 
 
+def _duality_pool():
+    """(F, G, H) with H of degree F + G, H outermost, so that each (F, G)
+    comes back once per H and never twice in a row."""
+    pool = forests_up_to(TWO_LABELS, 3)
+    return [(fa, fb, fh) for d in (2, 3)
+            for fh in forests_of_degree(TWO_LABELS, d)
+            for fa in pool for fb in pool
+            if fa.degree and fb.degree and fa.degree + fb.degree == d]
+
+
+def test_duality_check_computes_each_product_once(monkeypatch):
+    real = suites.star
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(suites, "star", counted)
+    pool = _duality_pool()
+    got = suites.composition_coproduct_duality(iter(pool))
+    pairs = {(fa, fb) for fa, fb, _ in pool}
+    assert len(pool) > 2 * len(pairs)
+    assert got == (len(pool), [])
+    assert len(calls) == len(pairs)
+    assert set(calls) == {(ForestSum.term(fa), ForestSum.term(fb))
+                          for fa, fb in pairs}
+
+
+def test_duality_check_keeps_a_verdict_per_triple(monkeypatch):
+    real = suites.star
+    pool = _duality_pool()
+    bad_f, bad_g, _ = pool[len(pool) // 2]
+    bad = (ForestSum.term(bad_f), ForestSum.term(bad_g))
+    # off by one in the coefficient of every forest of the product's degree
+    shift = ForestSum((fh, 1) for fh in forests_of_degree(
+        TWO_LABELS, bad_f.degree + bad_g.degree))
+
+    def wrong_once(x, y):
+        return real(x, y) + shift if (x, y) == bad else real(x, y)
+
+    monkeypatch.setattr(suites, "star", wrong_once)
+    got = suites.composition_coproduct_duality(pool)
+    want = [item for item in pool if item[:2] == (bad_f, bad_g)]
+    assert len(want) > 1
+    assert got == (len(pool), want)
+    # off at a single forest: only that one triple fails
+    bad_h = want[-1][2]
+    shift = ForestSum.term(bad_h)
+    got = suites.composition_coproduct_duality(pool)
+    assert got == (len(pool), [(bad_f, bad_g, bad_h)])
+
+
 # ------------------------------------------------------------- word algebra
 
 def test_falling_product():
@@ -229,6 +285,14 @@ def test_tree_weight_examples():
     for u in trees_up_to((A,), 4):
         if u.vertices >= 2:
             assert tree_weight(0, 0, u) == 0
+
+
+def test_deep_ladder_weight_stays_clear_of_the_recursion_limit():
+    # every inner vertex of a ladder has one child of degree 1: lam - mu
+    t = ladder(*[(1, 1)] * 1500)
+    assert tree_weight(F(2), F(1), t) == 1
+    assert tree_weight(F(3), F(1), t) == 2 ** 1499
+    assert tree_weight(F(1), F(1), t) == 0
 
 
 def test_image_is_a_prelie_morphism():

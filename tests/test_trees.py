@@ -122,6 +122,16 @@ def test_symmetry_small_cases():
     assert tree_symmetry(Tree(B, (branch, branch))) == 2 * 2 * 2
 
 
+def test_deep_ladder_symmetry_stays_clear_of_the_recursion_limit():
+    assert tree_symmetry(ladder(*[A] * 1500)) == 1
+    # a cherry hung below a deep ladder keeps its factor 2
+    t = Tree(A, (leaf(1), leaf(1)))
+    for _ in range(1500):
+        t = Tree(B, (t,))
+    assert tree_symmetry(t) == 2
+    assert forest_symmetry(Forest((t, leaf(1), leaf(1)))) == 4
+
+
 def test_symmetry_against_permutation_search():
     for t in trees_up_to(TWO_LABELS, 6):
         assert tree_symmetry(t) == automorphism_count(t)
@@ -197,6 +207,14 @@ def test_deep_ladder_text_stays_clear_of_the_recursion_limit():
     depth = 1500
     want = "(1.1: " * (depth - 1) + "(1.1:" + ")" * depth
     assert tree_text(ladder(*[A] * depth)) == want
+
+
+def test_deep_ladder_parse_stays_clear_of_the_recursion_limit():
+    text = tree_text(ladder(*[(1, 1)] * 1500))
+    t = parse_tree(text)
+    assert t.degree == t.vertices == 1500
+    assert tree_text(t) == text
+    assert forest_text(parse_forest(text + " (2.1:)")) == "(2.1:) " + text
 
 
 def test_text_round_trip_exhaustive():
