@@ -249,20 +249,25 @@ def _cmd_suite(args):
 
 # -------------------------------------------------------------------- main
 
-def _add_common(p, default_order, with_input=True):
-    if with_input:
+def _add_common(p, default_order=None, suite=False):
+    """A system command takes an input and --strict/--permissive, a suite
+    command --seed instead; -N only where default_order is given."""
+    if not suite:
         p.add_argument("input", help="system/family file, '-', or inline text")
-    p.add_argument("-N", dest="order", type=int, default=default_order,
-                   metavar="N", help=f"degree bound (default {default_order})")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true",
-                      default=True, help="reject dubious input (default)")
-    mode.add_argument("--permissive", dest="strict", action="store_false",
-                      help="keep dubious operators for inspection")
+    if default_order is not None:
+        p.add_argument("-N", dest="order", type=int, default=default_order,
+                       metavar="N", help=f"degree bound (default {default_order})")
+    if suite:
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for sampled checks (default 0)")
+    else:
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--strict", dest="strict", action="store_true",
+                          default=True, help="reject dubious input (default)")
+        mode.add_argument("--permissive", dest="strict", action="store_false",
+                          help="keep dubious operators for inspection")
     p.add_argument("--format", choices=("text", "structured"), default="text",
                    help="report style (default text)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled checks (default 0)")
     p.add_argument("-o", dest="output", metavar="PATH", default=None,
                    help="write the report to PATH instead of stdout")
 
@@ -294,20 +299,20 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("prelie-verify",
                        help="run the grafting/duality property suites")
-    _add_common(p, 4, with_input=False)
+    _add_common(p, 4, suite=True)
     p.set_defaults(fn=_cmd_suite)
 
     p = sub.add_parser("build",
                        help="expand a family description to system text")
-    _add_common(p, 4)
+    _add_common(p)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("selftest", help="run the structural invariant suites")
-    _add_common(p, 3, with_input=False)
+    _add_common(p, 3, suite=True)
     p.set_defaults(fn=_cmd_suite)
 
     args = parser.parse_args(argv)
-    if args.order < 1:
+    if "order" in args and args.order < 1:
         print("error: -N must be at least 1", file=sys.stderr)
         return 2
     try:

@@ -374,6 +374,12 @@ def component_monomials(sol: Solution, degree: int):
 
 @dataclass
 class HopfFailure:
+    """The bidegree (k, n-k) slice of Delta x_eq(n) escapes U_k (x) U_(n-k).
+
+    The witness is delta_F (x) psi for the first failing row F: psi kills
+    U_(n-k), so the witness kills every monomial tensor of the bidegree,
+    and it pairs with the slice to the nonzero pairing.
+    """
     eq: int
     degree: int
     left_degree: int
@@ -434,31 +440,6 @@ class _Span:
         return phi, t[c]
 
 
-def _slice_witness(columns, left, right):
-    """Witness that a slice escapes left (x) right, or None when it lies in it.
-
-    columns maps each right forest G to the slice's column sum_F c_FG F.
-    The slice lies in left (x) right exactly when every column lies in left
-    and every row sum_G c_FG G lies in right; a failing column G gives
-    phi (x) delta_G, a failing row F gives delta_F (x) psi.
-    """
-    for g in sorted(columns):
-        found = left.separate(columns[g])
-        if found is not None:
-            phi, pairing = found
-            return {(f, g): x for f, x in phi.items()}, pairing
-    rows = {}
-    for g, col in columns.items():
-        for f, c in col.items():
-            rows.setdefault(f, {})[g] = c
-    for f in sorted(rows):
-        found = right.separate(rows[f])
-        if found is not None:
-            psi, pairing = found
-            return {(f, g): x for g, x in psi.items()}, pairing
-    return None
-
-
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
 
@@ -467,10 +448,14 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
     monomials in the components.  Since U_k (x) U_(n-k) = (U_k (x) B) meet
     (A (x) U_(n-k)), that holds exactly when every column of the slice (one
     per right forest) lies in U_k and every row (one per left forest) lies
-    in U_(n-k).  So each U_d is eliminated once, sparsely, for all
-    equations and bidegrees, and each coproduct is split by bidegree once.
-    Membership is decided exactly; a failure comes with a separating
-    functional phi (x) delta_G or delta_F (x) psi (checkable by pairing it
+    in U_(n-k).  The columns always do: each B_(i,q) is a 1-cocycle,
+    Delta B(y) = B(y) (x) 1 + (id (x) B) Delta y, so by induction on degree
+    Delta x_i(n) = sum_q Delta B_(i,q)(f_iq(x)) lies in A_X (x) H, where A_X
+    is the graded algebra the components generate, and the left side of a
+    (k, n-k) slice lies in U_k.  So only the rows are reduced, each against
+    U_(n-k); each U_d is eliminated once, sparsely, for all equations and
+    bidegrees.  Membership is decided exactly; a failing row F comes with
+    the separating functional delta_F (x) psi (checkable by pairing it
     against slice and span).
     """
     sol = solve(S, N)
@@ -489,15 +474,19 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
             if not comp:
                 continue
             checks += n - 1
-            # left degree k -> right forest G -> left forest F -> coefficient
+            # left degree k -> left forest F -> right forest G -> coefficient
             slices = {}
             for (f, g), c in coproduct(comp).terms.items():
                 if f.degree and g.degree:
-                    slices.setdefault(f.degree, {}).setdefault(g, {})[f] = c
-            for k in sorted(slices):
-                found = _slice_witness(slices[k], span(k), span(n - k))
-                if found is not None:
-                    failures.append(HopfFailure(i, n, k, *found))
+                    slices.setdefault(f.degree, {}).setdefault(f, {})[g] = c
+            for k, rows in sorted(slices.items()):
+                for f in sorted(rows):
+                    found = span(n - k).separate(rows[f])
+                    if found is not None:
+                        psi, pairing = found
+                        failures.append(HopfFailure(
+                            i, n, k, {(f, g): x for g, x in psi.items()}, pairing))
+                        break
     return HopfReport(N, checks, failures, sol)
 
 

@@ -335,3 +335,28 @@ def test_order_must_be_positive(capsys):
     code, _, err = run(capsys, "solve", SQUARE, "-N", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prelie-verify", "-N", "0"],
+    ["selftest", "-N", "0"],
+])
+def test_suite_order_must_be_positive(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, SQUARE, "--seed", "1"]
+    for cmd in ("solve", "check-hopf", "classify", "lambda", "build")
+] + [
+    ["build", SQUARE, "-N", "3"],
+    ["prelie-verify", "--strict"],
+    ["selftest", "--permissive"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdse import (
     Decoration,
@@ -49,8 +50,7 @@ from cdse.families import (
     is_family_text,
     parse_family_text,
 )
-from cdse.solver import (INCONSISTENT, VACUOUS, _slice_witness, _Span,
-                         component_monomials)
+from cdse.solver import INCONSISTENT, VACUOUS, _Span, component_monomials
 from cdse.trees import _trees_table
 
 from helpers import (dense_hopf_failures, dense_rref, lambda_by_coproduct,
@@ -397,8 +397,8 @@ HOPF_CASES += [(f"{name} -N {N}", text, N)
 @pytest.mark.parametrize("name, text, N", HOPF_CASES,
                          ids=[name for name, _, _ in HOPF_CASES])
 def test_factored_hopf_matches_dense_oracle(name, text, N):
-    """Columns in U_k and rows in U_(n-k) decide exactly what membership in
-    the whole span of monomial tensors decides."""
+    """Rows in U_(n-k) decide exactly what membership in the whole span of
+    monomial tensors decides."""
     S = load(text)
     rep = check_hopf(S, N)
     checks, failing = dense_hopf_failures(S, N)
@@ -409,9 +409,60 @@ def test_factored_hopf_matches_dense_oracle(name, text, N):
     assert_certified(rep)
 
 
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_slice_columns_lie_in_the_left_span(name, text, N):
+    """The cocycle property puts Delta x_i(n) in A_X (x) H, so every column
+    sum_F c_FG F of a (k, n-k) slice lies in U_k, Hopf or not; this is why
+    check_hopf reduces only the rows."""
+    sol = solve(load(text), N)
+    spans = {k: _Span([u for _, u in component_monomials(sol, k)])
+             for k in range(1, N)}
+    for i in range(1, sol.system.nvars + 1):
+        for n in range(2, N + 1):
+            columns = {}
+            for (f, g), c in coproduct(sol.component(i, n)).terms.items():
+                if f.degree and g.degree:
+                    columns.setdefault((f.degree, g), {})[f] = c
+            for (k, _), column in columns.items():
+                assert spans[k].separate(column) is None
+
+
+def _op_text(nvars, coeffs):
+    monomials = ["h1", "h1^2", "h2"][:nvars + 1]
+    return " + ".join(["1"] + [f"{c}*{m}" for c, m in zip(coeffs, monomials)
+                               if c])
+
+
+@st.composite
+def small_systems(draw):
+    """One- and two-equation systems of operators 1 + a*h1 + b*h1^2 (+ c*h2),
+    each equation at degrees 1 and/or 2, coefficients in {-1, 0, 1, 2}."""
+    nvars = draw(st.integers(1, 2))
+    coeff = st.sampled_from([-1, 0, 1, 2])
+    lines = [f"vars {nvars}"]
+    for i in range(1, nvars + 1):
+        lines.append(f"eq {i}")
+        for q in draw(st.sets(st.integers(1, 2), min_size=1)):
+            coeffs = draw(st.lists(coeff, min_size=nvars + 1, max_size=nvars + 1))
+            lines.append(f"  op {q} : {_op_text(nvars, coeffs)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_systems())
+def test_row_test_matches_dense_oracle_on_random_systems(text):
+    S = sq(text)
+    rep = check_hopf(S, 4)
+    checks, failing = dense_hopf_failures(S, 4)
+    assert rep.checks == checks
+    assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == failing
+    assert_certified(rep)
+
+
 def test_row_side_certificate():
-    """NOT_HOPF's degree-3 columns all lie in U_1, so its failure is caught on
-    a row: the witness is delta_F (x) psi with psi spread over two forests."""
+    """Every failure is caught on a row F, so its witness is delta_F (x) psi;
+    for NOT_HOPF, psi is spread over two forests."""
     rep = check_hopf(sq(NOT_HOPF), 3)
     (fail,) = rep.failures
     assert len({f for f, _ in fail.witness}) == 1
@@ -419,19 +470,17 @@ def test_row_side_certificate():
     assert_certified(rep)
 
 
-def test_column_side_certificates():
-    """A column outside U_k is caught before any row, with witness
-    phi (x) delta_G; phi kills U_k and is read off its echelon rows."""
+def test_span_separation():
+    """separate returns None inside the span, else a functional that kills
+    it; phi is read off the echelon rows."""
     a, b, c = (single(leaf(j)) for j in (1, 2, 3))
     span = _Span([ForestSum({a: 1, b: 1})])
-    everything = _Span([ForestSum.term(f) for f in (a, b, c)])
-    # column a is not a multiple of a + b: phi = e_b - e_a, phi(a) = -1
-    assert _slice_witness({c: {a: F(1)}}, span, everything) == (
-        {(a, c): F(-1), (b, c): F(1)}, F(-1))
+    # a is not a multiple of a + b: phi = e_b - e_a, phi(a) = -1
+    assert span.separate({a: F(1)}) == ({a: F(-1), b: F(1)}, F(-1))
     # a forest outside the span's support is its own phi
-    assert _slice_witness({c: {a: F(1), b: F(1)}, a: {c: F(2)}}, span,
-                          everything) == ({(c, a): F(1)}, F(2))
-    assert _slice_witness({c: {a: F(3), b: F(3)}}, span, everything) is None
+    assert span.separate({c: F(2)}) == ({c: F(1)}, F(2))
+    assert span.separate({a: F(1), b: F(1)}) is None
+    assert span.separate({a: F(3), b: F(3)}) is None
 
 
 @pytest.mark.parametrize("S, N", [(five_kinds(), 5), (three_cycle(), 7)],
