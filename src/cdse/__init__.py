@@ -20,13 +20,13 @@ from .solver import (SDSE, HopfReport, LadderReport, LambdaTable,
                      rescale_variable, slice_coordinates, solve, solve_oracle,
                      system_text, truncate_at_1, verify_coefficient_ladder)
 from .families import (Case1, Case2, ClosedFormReport, CycleVertex,
-                       ExtensionReport, FundamentalData, LadderSumReport,
-                       QuasiCyclicData, Unclassifiable, Vertex, build_case1,
-                       build_case2, build_fundamental, build_quasicyclic,
+                       FundamentalData, LadderSumReport, QuasiCyclicData,
+                       Unclassifiable, Vertex, build_case1, build_case2,
+                       build_fundamental, build_quasicyclic,
                        case1_coefficient, check_closed_forms,
-                       check_extension_series, check_ladder_sums,
-                       classify_single, expected_lambda, is_family_text,
-                       parse_family_text, shared_product_series)
+                       check_ladder_sums, classify_single, expected_lambda,
+                       is_family_text, parse_family_text,
+                       shared_product_series)
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,8 @@ __all__ = [
     "Case1", "Case2", "Unclassifiable", "classify_single",
     "case1_coefficient", "build_case1", "build_case2", "Vertex",
     "FundamentalData", "build_fundamental", "shared_product_series",
-    "expected_lambda", "check_closed_forms", "check_extension_series",
-    "ClosedFormReport", "ExtensionReport", "CycleVertex", "QuasiCyclicData",
+    "expected_lambda", "check_closed_forms", "ClosedFormReport",
+    "CycleVertex", "QuasiCyclicData",
     "build_quasicyclic", "check_ladder_sums", "LadderSumReport",
     "is_family_text", "parse_family_text",
     "__version__",

@@ -126,7 +126,7 @@ def _cmd_classify(args):
     if not J:
         raise InputProblem("equation 1 has no operators")
     series = {q: S.op_series(1, q, args.order) for q in J}
-    verdict = classify_single(J, series, args.order)
+    verdict = classify_single(J, series)
     lines = []
     structured = args.format == "structured"
     if structured:

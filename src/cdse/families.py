@@ -30,10 +30,13 @@ The shared product is
 where a beta_j = 0 factor is read as exp(h_j) (so Q^q carries exp(q*h_j))
 and a beta_j = -1 factor is the constant 1.  An equation's level is its
 depth in the dependence graph; operators of degree q above the level take
-the form g_i * Q^q with g_i determined by the kind, and check_closed_forms
-verifies exactly that on a solved system, together with the affine structure
-constants predicted by expected_lambda.  check_extension_series covers the
-degrees at or below an extension equation's level.
+the form g_i * Q^q with g_i determined by the kind.  An extension equation
+has three regimes: affine at degree 1, a copy of its chain equation q-1
+hops down for 2 <= q <= level (that equation's affine series below the
+level, its degree-1 series at it), and g_i * Q^q above the level.
+check_closed_forms verifies every regime on a solved system, together with
+the affine structure constants predicted by expected_lambda, which it reads
+off the solution's leaf cuts rather than its coproduct.
 
 QuasiCyclicData describes systems whose equations sit on a cycle of residue
 classes, every dependency pointing one class forward; solutions are
@@ -49,6 +52,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .linear import ForestSum
+from .prelie import falling_product
 from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
@@ -93,24 +97,17 @@ class Unclassifiable:
 
 def case1_coefficient(lam, mu, j: int, n: int) -> Fraction:
     """h^n coefficient of the power-family series at degree j."""
-    lam, mu = _frac(lam), _frac(mu)
-    out = Fraction(1)
-    for k in range(n):
-        out *= lam * j + (k - 1) * mu
-    return out / math.factorial(n)
+    return falling_product(lam, mu, n, j) / math.factorial(n)
 
 
-def case1_series(lam, mu, j: int, trunc: int) -> TruncatedSeries:
-    return expr_series(case1_expr(lam, mu, j), 1, trunc)
-
-
-def classify_single(J, series, depth: int):
+def classify_single(J, series):
     """Match one-variable operator series against the two closed shapes.
 
     J lists the operator degrees; series maps each to its TruncatedSeries,
     every one normalized (constant term 1) and known at least to degree 3.
-    Returns Case1, Case2, or Unclassifiable; depth caps how far templates
-    are compared (each series is inspected to min(depth, its truncation)).
+    Returns Case1, Case2, or Unclassifiable.  Each series is compared with
+    the templates up to its own truncation, so the caller sets the depth by
+    how far it expands the series.
     """
     J = sorted(set(J))
     if not J:
@@ -142,7 +139,7 @@ def classify_single(J, series, depth: int):
         mu = a1 * beta
         if all(series[j].coeff((n,)) == case1_coefficient(lam, mu, j, n)
                for j in J
-               for n in range(1, min(depth, series[j].trunc) + 1)):
+               for n in range(1, series[j].trunc + 1)):
             as_case2 = None
             if lam == 0 and mu != 0:
                 as_case2 = (math.gcd(*nonconstant), -mu)
@@ -153,7 +150,7 @@ def classify_single(J, series, depth: int):
     affine = (len(alphas) == 1 and Fraction(0) not in alphas
               and all(series[j].coeff((n,)) == 0
                       for j in nonconstant
-                      for n in range(2, min(depth, series[j].trunc) + 1)))
+                      for n in range(2, series[j].trunc + 1)))
     if affine:
         m = math.gcd(*nonconstant)
         offenders = [j for j in constant if j % m == 0]
@@ -789,10 +786,14 @@ class ClosedFormReport:
 def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormReport:
     """Verify the promised closed forms on a solved system.
 
-    Every operator series above its equation's level must equal g_i * Q^q
-    (checked through the expression route and, where the product route
-    applies, through rising-factorial series as well), and every structure
-    constant read off the solution's coproduct must match expected_lambda.
+    Every operator series above its equation's level must equal g_i * Q^q,
+    checked through the expression route and, where it applies, through
+    rising-factorial series as well.  An extension of level L is affine at
+    q = 1; for 2 <= q <= L it copies its chain equation q-1 hops down (the
+    affine series below L, the degree-1 series at L), and every reachable
+    endpoint must agree; above L, g_i * Q^q is Q^(q-1) exactly when every
+    drift intercept toward i vanishes.  Every structure constant read off
+    the solution's leaf cuts must match expected_lambda.
     """
     failures = []
     Q = shared_product_series(data, N)
@@ -813,7 +814,23 @@ def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormRepo
                 route2 = item_series(data, i, N) * Q.pow_int(q - 1)
             elif q == 1:
                 route2 = item_series(data, i, N)
-            elif v.kind == EXTENSION and q > lvl and _drift_free(data, i):
+            elif v.kind == EXTENSION and q <= lvl:
+                series_checks += 1
+                ends = dependency_endpoints(data, i, q - 1)
+                wants = [S.op_series(e, 1, N) if q == lvl else
+                         expr_series(_affine_ast(data, e), S.nvars, N)
+                         for e in ends]
+                if any(w is None for w in wants):
+                    failures.append(f"equation {i} degree {q}: chain "
+                                    f"endpoint lacks a degree-1 operator")
+                    continue
+                if any(w != wants[0] for w in wants[1:]):
+                    failures.append(f"equation {i} degree {q}: chain "
+                                    f"endpoints {ends} disagree")
+                if got != wants[0]:
+                    failures.append(f"equation {i} degree {q}: series does "
+                                    f"not match its chain endpoint")
+            elif v.kind == EXTENSION and _drift_free(data, i):
                 route2 = Q.pow_int(q - 1)
             if route2 is not None:
                 series_checks += 1
@@ -841,62 +858,6 @@ def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormRepo
     q_ok, _ = table.q_independence()
     return ClosedFormReport(not failures, series_checks, lambda_checks,
                             gap_entries, q_ok, failures)
-
-
-@dataclass
-class ExtensionReport:
-    ok: bool
-    checks: int
-    failures: list
-
-
-def check_extension_series(S: SDSE, data: FundamentalData, N: int) -> ExtensionReport:
-    """Verify the three degree regimes of every extension equation.
-
-    Below the level the series is affine with the coefficients of the chain
-    equation q-1 hops down; at the level it copies that equation's degree-1
-    series; above it equals g_i * Q^q, which collapses to the plain power
-    Q^(q-1) exactly when every drift intercept toward i vanishes (both
-    comparisons run when they apply).  All reachable chain endpoints must
-    agree, which is the well-definedness half of the statement.
-    """
-    failures = []
-    checks = 0
-    Q = shared_product_series(data, N)
-    for v in data.vertices:
-        if v.kind != EXTENSION:
-            continue
-        i = v.index
-        lvl = data.level(i)
-        for q in S.degrees(i, N):
-            got = S.op_series(i, q, N)
-            checks += 1
-            if q > lvl:
-                want = expr_series(closed_form_ast(data, i, q), S.nvars, N)
-                if got != want:
-                    failures.append(f"equation {i} degree {q}: series is not "
-                                    f"g * Q^{q}")
-                if _drift_free(data, i) and got != Q.pow_int(q - 1):
-                    failures.append(f"equation {i} degree {q}: expected "
-                                    f"Q^{q - 1}")
-                continue
-            ends = dependency_endpoints(data, i, q - 1)
-            if q < lvl:
-                wants = [expr_series(_affine_ast(data, e), S.nvars, N)
-                         for e in ends]
-            else:
-                wants = [S.op_series(e, 1, N) for e in ends]
-                if any(w is None for w in wants):
-                    failures.append(f"equation {i} degree {q}: chain endpoint "
-                                    f"lacks a degree-1 operator")
-                    continue
-            if any(w != wants[0] for w in wants[1:]):
-                failures.append(f"equation {i} degree {q}: chain endpoints "
-                                f"{ends} disagree")
-            if got != wants[0]:
-                failures.append(f"equation {i} degree {q}: series does not "
-                                f"match its chain endpoint")
-    return ExtensionReport(not failures, checks, failures)
 
 
 # ------------------------------------------------------- quasi-cyclic data
@@ -1036,13 +997,13 @@ def _chains(data: QuasiCyclicData, S: SDSE, i: int, n: int):
                 yield ((Decoration(i, q),) + decs, b * w)
 
 
-def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int,
-                      hopf_order: Optional[int] = None) -> LadderSumReport:
+def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int) -> LadderSumReport:
     """Verify that solutions are exactly the weighted linear-tree sums.
 
     Component (i, n) must equal the sum over qualifying chains of
     b_(n - leaf degree) times the chain, every chain weight must telescope
-    to that single path product, and the system must pass the Hopf test.
+    to that single path product, and the system must pass the Hopf test
+    at order N.
     """
     failures = []
     sol = solve(S, N)
@@ -1064,7 +1025,7 @@ def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int,
             if sol.component(i, n) != expected:
                 failures.append(f"component ({i},{n}) is not the weighted "
                                 f"chain sum")
-    hopf = check_hopf(S, hopf_order if hopf_order is not None else N)
+    hopf = check_hopf(S, N)
     if not hopf.is_hopf:
         failures.append("Hopf test failed")
     return LadderSumReport(not failures, components, ladder_count,

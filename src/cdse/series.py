@@ -333,10 +333,10 @@ def num(v) -> Num:
     return Num(Fraction(v))
 
 
-def ast_sum(terms, empty=None):
+def ast_sum(terms):
     terms = list(terms)
     if not terms:
-        return empty if empty is not None else Num(Fraction(0))
+        return Num(Fraction(0))
     out = terms[0]
     for t in terms[1:]:
         out = Add(out, t)

@@ -704,10 +704,14 @@ def rescale_variable(S: SDSE, j: int, factor) -> SDSE:
     Rescaling one variable rescales each solution coefficient by a power of
     the factor counting the non-root vertices of equation j, which is a Hopf
     algebra automorphism on trees; the generated subalgebra moves along with
-    it, so Hopf compatibility is unchanged.
+    it, so Hopf compatibility is unchanged.  A zero factor erases h_j and
+    is no automorphism, so it is rejected.
     """
     if not 1 <= j <= S.nvars:
         raise SystemFormatError(f"variable index {j} out of range 1..{S.nvars}")
+    if factor == 0:
+        raise SystemFormatError(f"variable {j}: rescaling factor must be "
+                                f"nonzero")
     ops = {key: expr_rescale_var(expr, j, factor) for key, expr in S.ops.items()}
     fams = {i: (q0, expr_rescale_var(t, j, factor))
             for i, (q0, t) in S.families.items()}

@@ -30,8 +30,8 @@ from cdse import (
 from cdse.families import (CycleVertex, FundamentalData, QuasiCyclicData,
                            Vertex, build_case1, build_case2,
                            build_fundamental, build_quasicyclic,
-                           check_closed_forms, check_extension_series,
-                           check_ladder_sums, expected_lambda,
+                           check_closed_forms, check_ladder_sums,
+                           expected_lambda,
                            shared_product_series)
 from cdse.series import expr_series, parse_expr
 from cdse.solver import component_monomials
@@ -253,7 +253,6 @@ def test_instance_certificates_at_depth_five():
     assert Sext.op_series(3, 2, 5) == expr_series(parse_expr("(1 - h1)^-1"), 3, 5)
     assert Sext.op_series(3, 3, 5) == expr_series(parse_expr("(1 - h1)^-3"), 3, 5)
     assert check_closed_forms(Sext, ext, 5).ok
-    assert check_extension_series(Sext, ext, 5).ok
 
     driftless = FundamentalData([
         Vertex(1, "damped", beta=F(1), degrees=(1,)),
@@ -263,9 +262,9 @@ def test_instance_certificates_at_depth_five():
     Sd = build_fundamental(driftless)
     Q = shared_product_series(driftless, 5)
     assert all(Sd.op_series(3, q, 5) == Q.pow_int(q - 1) for q in (2, 3))
-    assert check_extension_series(Sd, driftless, 5).ok
+    assert check_closed_forms(Sd, driftless, 5).ok
 
-    assert check_ladder_sums(build_quasicyclic(QC3), QC3, 5, hopf_order=4).ok
+    assert check_ladder_sums(build_quasicyclic(QC3), QC3, 5).ok
 
 
 def test_comultiplication_axioms():

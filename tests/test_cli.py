@@ -170,6 +170,13 @@ def test_build_expands_a_family(capsys):
     assert parse_system_text(out) == build_case1({1, 2}, 1, -1)
 
 
+def test_build_rejects_a_zero_rescaling(capsys):
+    text = INTRO_FAMILY.replace("rescale 1 3", "rescale 1 0")
+    code, out, err = run(capsys, "build", text)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "variable 1" in err
+
+
 def test_build_normalizes_system_text(capsys):
     code, out, _ = run(capsys, "build", SQUARE)
     assert code == 0

@@ -8,16 +8,17 @@ from cdse import SystemFormatError
 from cdse.families import (Case1, Case2, CycleVertex, FundamentalData,
                            QuasiCyclicData, Unclassifiable, Vertex,
                            build_case1, build_case2, build_fundamental,
-                           build_quasicyclic, case1_coefficient, case1_series,
-                           check_closed_forms, check_extension_series,
-                           check_ladder_sums, classify_single,
+                           build_quasicyclic, case1_coefficient, case1_expr,
+                           check_closed_forms, check_ladder_sums,
+                           classify_single,
                            dependency_endpoints, drift_intercept, drift_slope,
                            expected_lambda, first_constant, is_family_text,
                            item_series, parse_family_text,
                            shared_product_series)
 from cdse.series import expr_series, parse_expr
-from cdse.solver import (check_hopf, extract_lambda, parse_system_text,
-                         rescale_variable, solve, system_text)
+from cdse.solver import (SDSE, check_hopf, extract_lambda,
+                         parse_system_text, rescale_variable, solve,
+                         system_text)
 from cdse.trees import ladder, single
 
 
@@ -153,7 +154,6 @@ def test_extension_series():
 
 def test_extension_certificates():
     assert check_closed_forms(S_EXT, EXT, 5).ok
-    assert check_extension_series(S_EXT, EXT, 5).ok
     assert check_hopf(S_EXT, 4).is_hopf
 
 
@@ -168,28 +168,65 @@ def test_driftless_extension_is_a_plain_power():
     for q in (2, 3):
         assert S.op_series(3, q, 5) == Q.pow_int(q - 1)
     assert check_closed_forms(S, data, 5).ok
-    assert check_extension_series(S, data, 5).ok
     assert check_hopf(S, 4).is_hopf
 
 
+# two extensions feeding a third: equation 5 sits at level 2
+STACK = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "scaled", a={1: F(1)}, degrees=(1,)),
+    Vertex(3, "extension", a={2: F(1)}, degrees=(1, 2)),
+    Vertex(4, "extension", a={2: F(1)}, degrees=(1, 2)),
+    Vertex(5, "extension", a={3: F(2), 4: F(3)}, degrees=(1, 2, 3)),
+])
+
+# a three-level chain, one extension per level: equation 5 sits at level 3
+CHAIN = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "scaled", a={1: F(1)}, degrees=(1,)),
+    Vertex(3, "extension", a={2: F(1)}, degrees=(1, 2, 3, 4)),
+    Vertex(4, "extension", a={3: F(1)}, degrees=(1, 2, 3, 4)),
+    Vertex(5, "extension", a={4: F(1)}, degrees=(1, 2, 3, 4)),
+])
+
+
 def test_stacked_extensions():
-    data = FundamentalData([
-        Vertex(1, "damped", beta=F(1), degrees=(1,)),
-        Vertex(2, "scaled", a={1: F(1)}, degrees=(1,)),
-        Vertex(3, "extension", a={2: F(1)}, degrees=(1, 2)),
-        Vertex(4, "extension", a={2: F(1)}, degrees=(1, 2)),
-        Vertex(5, "extension", a={3: F(2), 4: F(3)}, degrees=(1, 2, 3)),
-    ])
-    assert data.level(5) == 2
-    assert dependency_endpoints(data, 5, 1) == (3, 4)
-    assert dependency_endpoints(data, 5, 2) == (2,)
-    S = build_fundamental(data)
-    assert check_extension_series(S, data, 5).ok
-    rep = check_closed_forms(S, data, 4)
+    assert STACK.level(5) == 2
+    assert dependency_endpoints(STACK, 5, 1) == (3, 4)
+    assert dependency_endpoints(STACK, 5, 2) == (2,)
+    S = build_fundamental(STACK)
+    assert check_closed_forms(S, STACK, 5).ok
+    rep = check_closed_forms(S, STACK, 4)
     assert rep.ok, rep.failures
     # the band between the affine row and the drift line is nonempty here
     assert rep.gap_entries > 0
     assert check_hopf(S, 4).is_hopf
+
+
+MISMATCH = "equation 5 degree 2: series does not match its chain endpoint"
+
+
+@pytest.mark.parametrize("data,key,text,chain", [
+    # q = level: the series must copy the endpoints' degree-1 series
+    (STACK, (5, 2), "1 + 2*h2", [MISMATCH]),
+    # q < level: the series must be the endpoint's affine series
+    (CHAIN, (5, 2), "1 + 2*h2", [MISMATCH]),
+    (STACK, (3, 1), "1 + 2*h2",
+     ["equation 5 degree 2: chain endpoints (3, 4) disagree", MISMATCH]),
+    (STACK, (3, 1), None,
+     ["equation 5 degree 2: chain endpoint lacks a degree-1 operator"]),
+], ids=["at-level", "below-level", "endpoints-disagree", "no-degree-1"])
+def test_closed_forms_catch_a_broken_extension_chain(data, key, text, chain):
+    S = build_fundamental(data)
+    assert check_closed_forms(S, data, 5).ok
+    ops = dict(S.ops)
+    if text is None:
+        del ops[key]
+    else:
+        ops[key] = parse_expr(text)
+    rep = check_closed_forms(SDSE(S.nvars, ops, S.families), data, 5)
+    assert not rep.ok
+    assert [f for f in rep.failures if f.startswith("equation 5")] == chain
 
 
 # ----------------------------------------------------------- classification
@@ -202,7 +239,7 @@ def one_var_series(S, J, depth=6):
                          [(F(1), F(-1)), (F(1), F(0)), (F(0), F(1)), (F(2), F(3))])
 def test_classify_power_shape(lam, mu):
     S = build_case1({1, 2}, lam, mu)
-    got = classify_single({1, 2}, one_var_series(S, (1, 2)), 6)
+    got = classify_single({1, 2}, one_var_series(S, (1, 2)))
     assert isinstance(got, Case1)
     assert (got.lam, got.mu) == (lam, mu)
     if lam == 0:
@@ -211,28 +248,28 @@ def test_classify_power_shape(lam, mu):
 
 def test_classify_gated_affine_shape():
     S = build_case2({2, 3}, 2, F(1))
-    assert classify_single({2, 3}, one_var_series(S, (2, 3)), 6) == Case2(2, F(1))
+    assert classify_single({2, 3}, one_var_series(S, (2, 3))) == Case2(2, F(1))
 
 
 def test_classify_rejects_a_cubic():
     S = parse_system_text("vars 1\neq 1\n  op 1 : 1 + h1 + h1^3\n")
-    got = classify_single({1}, one_var_series(S, (1,)), 6)
+    got = classify_single({1}, one_var_series(S, (1,)))
     assert isinstance(got, Unclassifiable)
 
 
 def test_classify_all_constant():
     series = {1: series_like("1", 1, 6), 2: series_like("1", 1, 6)}
-    got = classify_single({1, 2}, series, 6)
+    got = classify_single({1, 2}, series)
     assert got == Case1(F(0), F(0), frozenset(), frozenset({1, 2}))
 
 
 def test_classify_input_checks():
     with pytest.raises(ValueError):
-        classify_single((), {}, 6)
+        classify_single((), {})
     with pytest.raises(ValueError):
-        classify_single({1}, {1: series_like("2 + h1", 1, 6)}, 6)
+        classify_single({1}, {1: series_like("2 + h1", 1, 6)})
     with pytest.raises(ValueError):
-        classify_single({1}, {1: series_like("1 + h1", 1, 2)}, 6)
+        classify_single({1}, {1: series_like("1 + h1", 1, 2)})
 
 
 # ------------------------------------------------------------- quasi-cyclic
@@ -247,7 +284,7 @@ S_QC3 = build_quasicyclic(QC3)
 
 def test_quasicyclic_three_cycle():
     assert S_QC3.op_series(1, 1, 5) == series_like("1 + h2", 3, 5)
-    rep = check_ladder_sums(S_QC3, QC3, 5, hopf_order=4)
+    rep = check_ladder_sums(S_QC3, QC3, 5)
     assert rep.ok, rep.failures
     assert rep.hopf
     assert rep.ladder_count > 0
@@ -257,7 +294,7 @@ def test_quasicyclic_self_loop():
     qc = QuasiCyclicData(1, [CycleVertex(1, 0, F(2), (1,), (1,))])
     S = build_quasicyclic(qc)
     assert S.op_series(1, 1, 5) == series_like("1 + 2*h1", 1, 5)
-    assert check_ladder_sums(S, qc, 5, hopf_order=4).ok
+    assert check_ladder_sums(S, qc, 5).ok
     # single cycle of weight 2: the n-ladder carries 2^(n-1)
     sol = solve(S, 4)
     four = ladder((1, 1), (1, 1), (1, 1), (1, 1))
@@ -269,7 +306,7 @@ def test_quasicyclic_weighted_multidegree():
         CycleVertex(1, 0, F(1), (2,), (1, 2)),
         CycleVertex(2, 1, F(3), (1,), (1,)),
     ])
-    assert check_ladder_sums(build_quasicyclic(qc), qc, 5, hopf_order=4).ok
+    assert check_ladder_sums(build_quasicyclic(qc), qc, 5).ok
 
 
 def test_quasicyclic_bad_weights_fail_only_hopf():
@@ -277,7 +314,7 @@ def test_quasicyclic_bad_weights_fail_only_hopf():
         CycleVertex(1, 0, F(1, 2), (2,), (1, 2)),
         CycleVertex(2, 1, F(3), (1,), (1,)),
     ])
-    rep = check_ladder_sums(build_quasicyclic(qc), qc, 5, hopf_order=4)
+    rep = check_ladder_sums(build_quasicyclic(qc), qc, 5)
     assert not rep.ok
     assert not rep.hopf
     assert rep.failures == ["Hopf test failed"]
@@ -394,5 +431,5 @@ def test_power_coefficient_formula():
     for lam, mu in ((F(1), F(-1)), (F(2), F(3)), (F(1), F(0)), (F(0), F(0))):
         for j in (1, 2, 3):
             for n in range(7):
-                assert case1_series(lam, mu, j, 6).coeff((n,)) == \
+                assert expr_series(case1_expr(lam, mu, j), 1, 6).coeff((n,)) == \
                     case1_coefficient(lam, mu, j, n)

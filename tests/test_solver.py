@@ -654,6 +654,9 @@ def test_rescale_variable():
     assert check_hopf(R, 4).is_hopf
     with pytest.raises(SystemFormatError):
         rescale_variable(S, 2, 3)
+    # h1 -> 0*h1 erases the variable: no automorphism
+    with pytest.raises(SystemFormatError, match="variable 1"):
+        rescale_variable(S, 1, 0)
 
 
 def test_rescale_solution_coefficients():
