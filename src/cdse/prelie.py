@@ -240,9 +240,10 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
     todo = [t]
     while todo:
         node = todo.pop()
-        todo.extend(node.children)
-        out *= falling_product(lam, mu, len(node.children),
-                               node.decoration.degree)
+        if node.children:
+            todo.extend(node.children)
+            out *= falling_product(lam, mu, len(node.children),
+                                   node.decoration.degree)
     return out
 
 

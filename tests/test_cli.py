@@ -222,22 +222,24 @@ def test_prelie_verify_structured(capsys):
 
 
 def test_prelie_verify_pool_sizes(capsys):
-    code, out, _ = run(capsys, "prelie-verify", "-N", "4", "--seed", "0",
-                       "--format", "structured")
-    assert code == 0
-    assert out.splitlines() == [
-        "cdse-report 1",
-        "command prelie-verify",
-        "order 4",
-        "seed 0",
-        "suite pre-lie-identity | pass | 320",
-        "suite grafting-closed-vs-recursive | pass | 400",
-        "suite composition-coproduct-duality | pass | 17127",
-        "suite tree-to-word-morphism | pass | 1200",
-        "suite word-closed-vs-recursive | pass | 240",
-        "suite weighted-solution-two-routes | pass | 10",
-        "status ok",
-    ]
+    names = ("pre-lie-identity", "grafting-closed-vs-recursive",
+             "composition-coproduct-duality", "tree-to-word-morphism",
+             "word-closed-vs-recursive", "weighted-solution-two-routes")
+    for order, counts in ((1, (8, 4, 0, 12, 15, 4)),
+                          (2, (56, 32, 28, 96, 45, 6)),
+                          (4, (320, 400, 17127, 1200, 240, 10)),
+                          (6, (320, 400, 17127, 1200, 240, 10))):
+        code, out, _ = run(capsys, "prelie-verify", "-N", str(order),
+                           "--seed", "0", "--format", "structured")
+        assert code == 0
+        assert out.splitlines() == [
+            "cdse-report 1",
+            "command prelie-verify",
+            f"order {order}",
+            "seed 0",
+            *(f"suite {name} | pass | {n}" for name, n in zip(names, counts)),
+            "status ok",
+        ]
 
 
 def test_selftest(capsys):

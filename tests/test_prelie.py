@@ -1,6 +1,8 @@
 """Grafting, the forest composition product, and the word-side dual."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from cdse import (
     star,
     tensor_pairing,
     tree_weight,
+    trees_of_degree,
 )
 from cdse import suites
 from cdse.families import build_case1
@@ -201,6 +204,146 @@ def test_duality_check_keeps_a_verdict_per_triple(monkeypatch):
     shift = ForestSum.term(bad_h)
     got = suites.composition_coproduct_duality(pool)
     assert got == (len(pool), [(bad_f, bad_g, bad_h)])
+    # symmetry(H) and Delta H are held for the last H only: a pool that
+    # is not H-major gets the same verdicts, in its own order
+    random.Random(3).shuffle(pool)
+    got = suites.composition_coproduct_duality(pool)
+    assert got == (len(pool), [(bad_f, bad_g, bad_h)])
+    shift = ForestSum((fh, 1) for fh in forests_of_degree(
+        TWO_LABELS, bad_f.degree + bad_g.degree))
+    got = suites.composition_coproduct_duality(pool)
+    assert got == (len(pool),
+                   [item for item in pool if item[:2] == (bad_f, bad_g)])
+
+
+# ------------------------------------------------ the prelie-verify pools
+
+def _cli_pool(name, N=4, seed=0):
+    return next(pool for got, _, pool in suites._prelie_verify_pools(N, seed)
+                if got == name)
+
+
+def _all_triples(N):
+    """The pre-Lie pool by brute force: every triple of trees filtered by
+    total degree.  Trees of degree 5 (in the pool from N = 5 on) cannot
+    meet two more trees inside the total of 5, so stopping at 4 keeps
+    every item that filter kept, in its order, at a fraction of the cost."""
+    trees = [(t, d) for d in range(1, min(N, 4) + 1)
+             for t in trees_of_degree(TWO_LABELS, d)]
+    return [(a, b, c) for a, da in trees for b, db in trees for c, dc in trees
+            if da + db + dc <= min(N + 2, 5)]
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_prelie_verify_pools_keep_their_items_and_order(N):
+    everything = _all_triples(N)
+    for seed in (0, 7):
+        pools = {name: pool
+                 for name, _, pool in suites._prelie_verify_pools(N, seed)}
+        assert pools["pre-lie-identity"] == suites._sampled(everything, 600,
+                                                            seed)
+        # pair-major: the three word parameters of one pair sit together
+        assert pools["tree-to-word-morphism"] == [
+            (lam, mu, fa, fb) for fa, fb in pools["grafting-closed-vs-recursive"]
+            for lam, mu in suites._WORD_PARAMETERS]
+        # H-major within each split degree k: the triples of one (k, H)
+        # sit together
+        seen, last = set(), None
+        for fa, _, fh in pools["composition-coproduct-duality"]:
+            if (fa.degree, fh) != last:
+                last = fa.degree, fh
+                assert last not in seen
+                seen.add(last)
+
+
+def _counting(monkeypatch, name):
+    real = getattr(suites, name)
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(suites, name, counted)
+    return calls
+
+
+def _basis_pairs(calls):
+    """The (F, G) of calls made on single basis forests with coefficient 1."""
+    out = []
+    for x, y in calls:
+        (fa, ca), = x.terms.items()
+        (fb, cb), = y.terms.items()
+        assert ca == cb == 1
+        out.append((fa, fb))
+    return out
+
+
+def _wrong_at(real, bad, shift):
+    """The bilinear product that is real on every basis pair but bad, where
+    it is off by shift."""
+    def product(x, y):
+        out = ForestSum()
+        for fa, ca in x.terms.items():
+            for fb, cb in y.terms.items():
+                got = real(ForestSum.term(fa), ForestSum.term(fb))
+                out.add_scaled(got + shift if (fa, fb) == bad else got, ca * cb)
+        return out
+    return product
+
+
+def test_pre_lie_identity_computes_each_product_once(monkeypatch):
+    calls = _counting(monkeypatch, "circ")
+    pool = _cli_pool("pre-lie-identity")
+    got = suites.pre_lie_identity(iter(pool))
+    pairs = _basis_pairs(calls)
+    assert got == (len(pool), [])
+    # 3,264 basis-pair products over the 320 triples, 412 of them distinct
+    assert len(pairs) == len(set(pairs)) == 412
+    assert set(pairs) >= {(Forest((a,)), Forest((b,)))
+                          for a, b, c in pool}
+
+
+def test_pre_lie_identity_keeps_a_verdict_per_triple(monkeypatch):
+    pool = _cli_pool("pre-lie-identity")
+    a, b, c = pool[len(pool) // 2]
+    # a grafted tree met again as the left factor of an outer product
+    inner = sorted(circ(tfs(a), tfs(b)).terms)[0]
+    bad = (inner, Forest((c,)))
+    wrong = _wrong_at(suites.circ, bad, ForestSum.term(Forest((a, c))))
+
+    def holds(a, b, c):
+        # the per-item formula, the route the check had before it shared
+        x, y, z = tfs(a), tfs(b), tfs(c)
+        return (wrong(wrong(x, y), z) - wrong(x, wrong(y, z))
+                == wrong(wrong(y, x), z) - wrong(y, wrong(x, z)))
+
+    want = [item for item in pool if not holds(*item)]
+    assert 1 < len(want) < len(pool)
+    monkeypatch.setattr(suites, "circ", wrong)
+    assert suites.pre_lie_identity(pool) == (len(pool), want)
+
+
+def test_tree_to_word_check_computes_each_product_once(monkeypatch):
+    calls = _counting(monkeypatch, "circ")
+    pool = _cli_pool("tree-to-word-morphism")
+    got = suites.tree_to_word_morphism(iter(pool))
+    pairs = {(fa, fb) for _, _, fa, fb in pool}
+    assert got == (len(pool), [])
+    assert len(pool) == 3 * len(pairs)
+    assert sorted(_basis_pairs(calls)) == sorted(pairs)
+
+
+def test_tree_to_word_check_keeps_a_verdict_per_item(monkeypatch):
+    pool = _cli_pool("tree-to-word-morphism")
+    _, _, bad_f, bad_g = pool[len(pool) // 2]
+    # a forest of leaves weighs 1 for every (lam, mu): its image is never 0
+    leaves = Forest((leaf(1),) * (bad_f.degree + bad_g.degree))
+    monkeypatch.setattr(suites, "circ", _wrong_at(
+        suites.circ, (bad_f, bad_g), ForestSum.term(leaves)))
+    want = [item for item in pool if item[2:] == (bad_f, bad_g)]
+    assert len(want) == 3
+    assert suites.tree_to_word_morphism(pool) == (len(pool), want)
 
 
 # ------------------------------------------------------------- word algebra
@@ -295,6 +438,34 @@ def test_deep_ladder_weight_stays_clear_of_the_recursion_limit():
     assert tree_weight(F(2), F(1), t) == 1
     assert tree_weight(F(3), F(1), t) == 2 ** 1499
     assert tree_weight(F(1), F(1), t) == 0
+
+
+def _vertex_factors(lam, mu, t):
+    """falling_product(m, j) of every vertex, leaves included."""
+    todo, out = [t], F(1)
+    while todo:
+        v = todo.pop()
+        todo.extend(v.children)
+        out *= falling_product(lam, mu, len(v.children), v.decoration.degree)
+    return out
+
+
+WEIGHT_TREES = (trees_up_to((A, Decoration(1, 2), Decoration(2, 3)), 6)
+                + [ladder(*[(1, 1 + k % 2) for k in range(1500)])])
+
+
+@given(st.sampled_from(WEIGHT_TREES), st.fractions(-3, 3, max_denominator=4),
+       st.fractions(-3, 3, max_denominator=4))
+def test_tree_weight_is_the_product_over_vertices(t, lam, mu):
+    assert tree_weight(lam, mu, t) == _vertex_factors(lam, mu, t)
+
+
+def test_tree_weight_on_the_deep_ladder():
+    t = WEIGHT_TREES[-1]
+    assert t.vertices == 1500
+    lam, mu = F(1, 2), F(-1, 3)
+    assert tree_weight(lam, mu, t) == _vertex_factors(lam, mu, t) == math.prod(
+        falling_product(lam, mu, 1, 1 + k % 2) for k in range(1499))
 
 
 def test_image_is_a_prelie_morphism():
