@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from .trees import EMPTY_FOREST, Forest, Tree, forest_text, single
 
+_ZERO = Fraction(0)
+
 
 def _accumulate(data: dict, pairs) -> dict:
     """Add each (key, coeff) pair into data, deleting keys that reach zero.
@@ -35,8 +37,9 @@ class LinComb:
     def __init__(self, terms=None):
         if isinstance(terms, dict):
             terms = terms.items()
-        self.terms = _accumulate({}, ((key, Fraction(coeff))
-                                      for key, coeff in terms or ()))
+        self.terms = _accumulate({}, (
+            (key, coeff if isinstance(coeff, Fraction) else Fraction(coeff))
+            for key, coeff in terms or ()))
 
     def _like(self, terms: dict) -> "LinComb":
         res = type(self).__new__(type(self))
@@ -45,7 +48,7 @@ class LinComb:
 
     @classmethod
     def term(cls, key, coeff=1):
-        return cls({key: Fraction(coeff)})
+        return cls({key: coeff})
 
     @classmethod
     def zero(cls):
@@ -83,7 +86,7 @@ class LinComb:
         return self.scale(-1)
 
     def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, _ZERO)
 
     # subclasses define how basis elements multiply
     def _mul_key(self, a, b):

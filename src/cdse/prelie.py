@@ -160,9 +160,12 @@ def falling_product(lam, mu, m: int, j: int) -> Fraction:
 
     (lam j - mu) (lam j) (lam j + mu) ... (lam j + (m-2) mu),  m factors.
     """
-    lam, mu = Fraction(lam), Fraction(mu)
     if m == 0:
         return Fraction(1)
+    if not isinstance(lam, Fraction):
+        lam = Fraction(lam)
+    if not isinstance(mu, Fraction):
+        mu = Fraction(mu)
     out = lam * j - mu
     for k in range(m - 1):
         out *= lam * j + k * mu

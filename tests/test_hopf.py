@@ -200,6 +200,18 @@ def test_constructor_keeps_coefficients_rational():
     assert type(got) is Fraction and got == Fraction(1, 2)
 
 
+def test_coefficients_come_out_as_fractions():
+    f, g = single(leaf(1)), single(leaf(2))
+    half = Fraction(1, 2)
+    x = ForestSum([(g, 0), (f, 3), (g, half), (f, -3)])
+    assert x.terms == {g: half}
+    assert x.terms[g] is half  # a Fraction is kept, not copied
+    y = ForestSum({f: 2, g: 0})
+    assert y.terms == {f: 2} and type(y.terms[f]) is Fraction
+    assert type(ForestSum.term(f).terms[f]) is Fraction
+    assert y.coeff(g) == 0 and type(y.coeff(g)) is Fraction
+
+
 def test_add_scaled_is_in_place():
     x = ForestSum.of_tree(leaf(1))
     y = ForestSum.of_tree(leaf(2))

@@ -39,6 +39,8 @@ from cdse import (
 )
 from cdse import suites
 from cdse.families import build_case1
+from cdse.hopf import forest_coproduct
+from cdse.linear import LinComb
 from cdse.solver import solve
 
 from helpers import TWO_LABELS, forests_up_to, trees_up_to
@@ -216,6 +218,46 @@ def test_duality_check_keeps_a_verdict_per_triple(monkeypatch):
                    [item for item in pool if item[:2] == (bad_f, bad_g)])
 
 
+def test_duality_check_fails_a_coefficient_present_on_one_side(monkeypatch):
+    pool = _duality_pool()
+    sides = {(fa, fb, fh): (fh in star(ForestSum.term(fa),
+                                       ForestSum.term(fb)).terms,
+                            (fa, fb) in forest_coproduct(fh).terms)
+             for fa, fb, fh in pool}
+    # most triples read 0 against 0, and they pass
+    absent = [item for item in pool if sides[item] == (False, False)]
+    present = [item for item in pool if sides[item] == (True, True)]
+    assert len(absent) > len(present) > 0
+    assert len(absent) + len(present) == len(pool)
+    assert suites.composition_coproduct_duality(absent) == (len(absent), [])
+
+    # the product gains a term: present in star only
+    fa, fb, fh = absent[len(absent) // 2]
+    real_star = suites.star
+    monkeypatch.setattr(suites, "star", lambda x, y: (
+        real_star(x, y) + ForestSum.term(fh)
+        if (x, y) == (ForestSum.term(fa), ForestSum.term(fb))
+        else real_star(x, y)))
+    assert suites.composition_coproduct_duality(pool) == (len(pool),
+                                                          [(fa, fb, fh)])
+    monkeypatch.setattr(suites, "star", real_star)
+
+    # the coproduct loses a term: present in star only the other way round
+    fa, fb, fh = present[len(present) // 2]
+    real_coproduct = suites.forest_coproduct
+
+    def drops_a_term(f):
+        delta = real_coproduct(f)
+        if f != fh:
+            return delta
+        return TensorSum({k: c for k, c in delta.terms.items()
+                          if k != (fa, fb)})
+
+    monkeypatch.setattr(suites, "forest_coproduct", drops_a_term)
+    assert suites.composition_coproduct_duality(pool) == (len(pool),
+                                                          [(fa, fb, fh)])
+
+
 # ------------------------------------------------ the prelie-verify pools
 
 def _cli_pool(name, N=4, seed=0):
@@ -237,6 +279,10 @@ def _all_triples(N):
 @pytest.mark.parametrize("N", range(1, 7))
 def test_prelie_verify_pools_keep_their_items_and_order(N):
     everything = _all_triples(N)
+    forests = {d: forests_of_degree(TWO_LABELS, d) for d in range(1, 5)}
+    duals = {(fa, fb, fh) for d in range(2, min(N, 4) + 1)
+             for k in range(1, d) for fa in forests[k]
+             for fb in forests[d - k] for fh in forests[d]}
     for seed in (0, 7):
         pools = {name: pool
                  for name, _, pool in suites._prelie_verify_pools(N, seed)}
@@ -246,36 +292,43 @@ def test_prelie_verify_pools_keep_their_items_and_order(N):
         assert pools["tree-to-word-morphism"] == [
             (lam, mu, fa, fb) for fa, fb in pools["grafting-closed-vs-recursive"]
             for lam, mu in suites._WORD_PARAMETERS]
-        # H-major within each split degree k: the triples of one (k, H)
-        # sit together
+        # H-major: the triples of one H sit together, every split of its
+        # degree included
+        pool = list(pools["composition-coproduct-duality"])
+        assert len(pool) == len(duals) and set(pool) == duals
         seen, last = set(), None
-        for fa, _, fh in pools["composition-coproduct-duality"]:
-            if (fa.degree, fh) != last:
-                last = fa.degree, fh
-                assert last not in seen
-                seen.add(last)
+        for _, _, fh in pool:
+            if fh != last:
+                last = fh
+                assert fh not in seen
+                seen.add(fh)
 
 
 def _counting(monkeypatch, name):
     real = getattr(suites, name)
     calls = []
 
-    def counted(x, y):
-        calls.append((x, y))
-        return real(x, y)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(suites, name, counted)
     return calls
 
 
-def _basis_pairs(calls):
-    """The (F, G) of calls made on single basis forests with coefficient 1."""
+def _basis_keys(calls):
+    """The arguments of each call, every linear combination among them
+    replaced by its key: each must be one basis element with coefficient 1.
+    """
     out = []
-    for x, y in calls:
-        (fa, ca), = x.terms.items()
-        (fb, cb), = y.terms.items()
-        assert ca == cb == 1
-        out.append((fa, fb))
+    for args in calls:
+        keys = []
+        for arg in args:
+            if isinstance(arg, LinComb):
+                (arg, c), = arg.terms.items()
+                assert c == 1
+            keys.append(arg)
+        out.append(tuple(keys))
     return out
 
 
@@ -296,7 +349,7 @@ def test_pre_lie_identity_computes_each_product_once(monkeypatch):
     calls = _counting(monkeypatch, "circ")
     pool = _cli_pool("pre-lie-identity")
     got = suites.pre_lie_identity(iter(pool))
-    pairs = _basis_pairs(calls)
+    pairs = _basis_keys(calls)
     assert got == (len(pool), [])
     # 3,264 basis-pair products over the 320 triples, 412 of them distinct
     assert len(pairs) == len(set(pairs)) == 412
@@ -331,7 +384,7 @@ def test_tree_to_word_check_computes_each_product_once(monkeypatch):
     pairs = {(fa, fb) for _, _, fa, fb in pool}
     assert got == (len(pool), [])
     assert len(pool) == 3 * len(pairs)
-    assert sorted(_basis_pairs(calls)) == sorted(pairs)
+    assert sorted(_basis_keys(calls)) == sorted(pairs)
 
 
 def test_tree_to_word_check_keeps_a_verdict_per_item(monkeypatch):
@@ -346,6 +399,58 @@ def test_tree_to_word_check_keeps_a_verdict_per_item(monkeypatch):
     assert suites.tree_to_word_morphism(pool) == (len(pool), want)
 
 
+def test_tree_to_word_check_computes_each_basis_value_once(monkeypatch):
+    image_calls = _counting(monkeypatch, "fdb_image")
+    word_calls = _counting(monkeypatch, "fdb_circ")
+    pool = _cli_pool("tree-to-word-morphism")
+    assert suites.tree_to_word_morphism(iter(pool)) == (len(pool), [])
+    images = _basis_keys(image_calls)
+    products = _basis_keys(word_calls)
+    want_images, want_products = set(), set()
+    for lam, mu, fa, fb in pool:
+        x, y = ForestSum.term(fa), ForestSum.term(fb)
+        want_images.update((lam, mu, fh) for fh in (fa, fb, *circ(x, y).terms))
+        want_products.update((lam, mu, w, v)
+                             for w in fdb_image(lam, mu, x).terms
+                             for v in fdb_image(lam, mu, y).terms)
+    # 1,635 basis images and 84 basis word products for the 1,200 items,
+    # where three images and one word product per item took 3,600 and 1,200
+    assert len(images) == len(set(images)) == 1635
+    assert set(images) == want_images
+    assert len(products) == len(set(products)) == 84
+    assert set(products) == want_products
+
+
+def test_tree_to_word_check_keeps_a_verdict_per_item_on_a_wrong_image(
+        monkeypatch):
+    pool = _cli_pool("tree-to-word-morphism")
+    lam, mu, fa, fb = pool[len(pool) // 2]
+    # a forest of one product's support, at one word parameter
+    bad = (lam, mu, min(circ(ForestSum.term(fa), ForestSum.term(fb)).terms))
+    real = suites.fdb_image
+
+    def wrong(lam, mu, x):
+        # real on every basis forest but bad, where it is off by a letter
+        out = WordSum()
+        for fh, c in x.terms.items():
+            got = real(lam, mu, ForestSum.term(fh))
+            if (lam, mu, fh) == bad:
+                got = got + WordSum.gen(fh.degree)
+            out.add_scaled(got, c)
+        return out
+
+    def holds(lam, mu, fa, fb):
+        # the per-item formula, the route the check had before it shared
+        x, y = ForestSum.term(fa), ForestSum.term(fb)
+        return wrong(lam, mu, circ(x, y)) == fdb_circ(
+            lam, mu, wrong(lam, mu, x), wrong(lam, mu, y))
+
+    want = [item for item in pool if not holds(*item)]
+    assert 1 < len(want) < len(pool) // 3
+    monkeypatch.setattr(suites, "fdb_image", wrong)
+    assert suites.tree_to_word_morphism(pool) == (len(pool), want)
+
+
 # ------------------------------------------------------------- word algebra
 
 def test_falling_product():
@@ -354,6 +459,22 @@ def test_falling_product():
     assert falling_product(lam, mu, 1, 3) == 3 * lam - mu
     assert falling_product(lam, mu, 2, 3) == (3 * lam - mu) * (3 * lam)
     assert falling_product(lam, mu, 4, 1) == (lam - mu) * lam * (lam + mu) * (lam + 2 * mu)
+
+
+@pytest.mark.parametrize("lam, mu", [(2, -3), (0, 1), (1, 0), (-1, -1)])
+def test_int_and_fraction_parameters_agree(lam, mu):
+    fl, fm = F(lam), F(mu)
+    for m, j in ((0, 3), (1, 2), (2, 1), (4, 3)):
+        got = falling_product(lam, mu, m, j)
+        assert type(got) is Fraction
+        assert got == falling_product(fl, fm, m, j)
+    for t in trees_up_to(TWO_LABELS, 4):
+        got = tree_weight(lam, mu, t)
+        assert type(got) is Fraction and got == tree_weight(fl, fm, t)
+    a, b = WordSum.term((1, 2)), WordSum.term((1, 1, 3))
+    got = fdb_circ(lam, mu, a, b)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got == fdb_circ(fl, fm, a, b)
 
 
 def test_fdb_circ_generators():
