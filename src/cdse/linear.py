@@ -12,6 +12,7 @@ from fractions import Fraction
 from .trees import EMPTY_FOREST, Forest, Tree, forest_text, single
 
 _ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _accumulate(data: dict, pairs) -> dict:
@@ -47,7 +48,7 @@ class LinComb:
         return res
 
     @classmethod
-    def term(cls, key, coeff=1):
+    def term(cls, key, coeff=ONE):
         return cls({key: coeff})
 
     @classmethod
@@ -134,7 +135,7 @@ class ForestSum(LinComb):
         return cls.term(EMPTY_FOREST)
 
     @classmethod
-    def of_tree(cls, t: Tree, coeff=1):
+    def of_tree(cls, t: Tree, coeff=ONE):
         return cls.term(single(t), coeff)
 
     def homogeneous(self, n: int) -> "ForestSum":
@@ -168,7 +169,7 @@ class TensorSum(LinComb):
         return (a[0] * b[0], a[1] * b[1])
 
     @classmethod
-    def of(cls, left: Forest, right: Forest, coeff=1):
+    def of(cls, left: Forest, right: Forest, coeff=ONE):
         return cls.term((left, right), coeff)
 
     def bidegree(self, m: int, n: int) -> "TensorSum":
@@ -190,7 +191,7 @@ class WordSum(LinComb):
         return tuple(sorted(a + b))
 
     @classmethod
-    def gen(cls, i: int, coeff=1):
+    def gen(cls, i: int, coeff=ONE):
         return cls.term((i,), coeff)
 
     @classmethod

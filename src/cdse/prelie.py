@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linear import ForestSum, WordSum
+from .linear import ONE, ForestSum, WordSum
 from .trees import (Decoration, Forest, Tree, single, tree_symmetry,
                     trees_of_degree)
 
@@ -63,7 +63,7 @@ def _vertex_count(f: Forest) -> int:
 
 def _graft_all(t: Tree, target: Forest) -> ForestSum:
     """Sum over vertices of target of attaching t below that vertex."""
-    return ForestSum((_attach(target, {v: (t,)}), 1)
+    return ForestSum((_attach(target, {v: (t,)}), ONE)
                      for v in range(_vertex_count(target)))
 
 
@@ -86,7 +86,7 @@ def _circ_closed(F: Forest, G: Forest) -> ForestSum:
         assignment = {}
         for t, v in zip(F.trees, targets):
             assignment.setdefault(v, []).append(t)
-        grafts.append((_attach(G, assignment), 1))
+        grafts.append((_attach(G, assignment), ONE))
     return ForestSum(grafts)
 
 
@@ -161,7 +161,7 @@ def falling_product(lam, mu, m: int, j: int) -> Fraction:
     (lam j - mu) (lam j) (lam j + mu) ... (lam j + (m-2) mu),  m factors.
     """
     if m == 0:
-        return Fraction(1)
+        return ONE
     if not isinstance(lam, Fraction):
         lam = Fraction(lam)
     if not isinstance(mu, Fraction):
@@ -186,7 +186,7 @@ def _word_on_letters_closed(lam, mu, w, v) -> WordSum:
         for letter, pos in zip(w, targets):
             sums[pos] += letter
             sizes[pos] += 1
-        coeff = Fraction(1)
+        coeff = ONE
         for pos in range(n):
             coeff *= falling_product(lam, mu, sizes[pos], v[pos])
             if not coeff:
@@ -204,9 +204,10 @@ def fdb_circ(lam, mu, a, b) -> WordSum:
 
 
 def _letter_on_word(lam, mu, i: int, u) -> WordSum:
-    # single letter acts as a derivation over the word u
+    # single letter acts as a derivation over the word u; fdb_circ_recursive
+    # hands lam and mu over as Fractions
     return WordSum((tuple(sorted(u[:pos] + (u[pos] + i,) + u[pos + 1:])),
-                    Fraction(lam) * u[pos] - Fraction(mu))
+                    lam * u[pos] - mu)
                    for pos in range(len(u)))
 
 
@@ -226,6 +227,7 @@ def _word_circ_rec(lam, mu, w, v) -> WordSum:
 
 def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
     """Same word product, by peeling letters instead of the closed sum."""
+    lam, mu = Fraction(lam), Fraction(mu)
     return _bilinear(lambda w, v: _word_circ_rec(lam, mu, w, v),
                      _check_word_sum(a), _check_word_sum(b))
 
@@ -239,7 +241,7 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
     Walked with an explicit stack so that deep ladders stay clear of the
     recursion limit.
     """
-    out = Fraction(1)
+    out = ONE
     todo = [t]
     while todo:
         node = todo.pop()
@@ -250,10 +252,23 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
     return out
 
 
-def fdb_image(lam, mu, x) -> WordSum:
-    """Algebra map to words: a tree of degree n goes to tree_weight * e_n."""
+def fdb_image(lam, mu, x, *, weights=None) -> WordSum:
+    """Algebra map to words: a tree of degree n goes to tree_weight * e_n.
+
+    Each tree is weighed once, into weights: a dict from tree to its
+    tree_weight at this (lam, mu), which calls may share.
+    """
+    if weights is None:
+        weights = {}
+
+    def weight(t: Tree) -> Fraction:
+        got = weights.get(t)
+        if got is None:
+            got = weights[t] = tree_weight(lam, mu, t)
+        return got
+
     return WordSum((tuple(sorted(t.degree for t in f.trees)),
-                    c * math.prod(tree_weight(lam, mu, t) for t in f.trees))
+                    c * math.prod(weight(t) for t in f.trees))
                    for f, c in _as_forest_sum(x).terms.items())
 
 

@@ -575,16 +575,32 @@ class LambdaTable:
 def _leaf_cuts(t: Tree):
     """Triples (d, t minus one leaf decorated d, count) over the non-root
     leaves of t.  Equal children are visited once; count says how many
-    leaves the triple stands for."""
-    pos = 0
-    for child, group in itertools.groupby(t.children):
-        mult = len(list(group))
-        others = t.children[:pos] + t.children[pos + 1:]
-        pos += mult
-        if not child.children:
-            yield child.decoration, Tree(t.decoration, others), mult
-        for dec, sub, count in _leaf_cuts(child):
-            yield dec, Tree(t.decoration, others + (sub,)), mult * count
+    leaves the triple stands for.
+
+    Walked in preorder with an explicit stack so that deep ladders stay
+    clear of the recursion limit.  Each stack entry carries its path as a
+    link (decoration, other children, link above) per vertex above it; a
+    leaf's cut is rebuilt along that path, bottom up.
+    """
+    todo = [(t, None, 1)]
+    while todo:
+        node, above, count = todo.pop()
+        if above is not None and not node.children:
+            dec, others, link = above
+            rest = Tree(dec, others)
+            while link is not None:
+                dec, others, link = link
+                rest = Tree(dec, others + (rest,))
+            yield node.decoration, rest, count
+            continue
+        below = []
+        pos = 0
+        for child, group in itertools.groupby(node.children):
+            mult = len(list(group))
+            others = node.children[:pos] + node.children[pos + 1:]
+            pos += mult
+            below.append((child, (node.decoration, others, above), count * mult))
+        todo.extend(reversed(below))
 
 
 def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:

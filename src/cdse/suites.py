@@ -14,9 +14,10 @@ still gives one verdict per item:
   It reads an absent coefficient as the int 0, so the many triples that
   are 0 on both sides cost no Fraction;
 - tree_to_word_morphism holds, for each (lam, mu), fdb_image of each basis
-  forest and fdb_circ of each basis word pair once, for any pool order,
-  and circ(F, G) for the last pair only: each pair once on the command's
-  pool, which is pair-major (the word parameters vary fastest).
+  forest, tree_weight of each tree and fdb_circ of each basis word pair
+  once, for any pool order, and circ(F, G) for the last pair only: each
+  pair once on the command's pool, which is pair-major (the word
+  parameters vary fastest).
 
 A holder for the last item only is still correct on any order; it just
 recomputes more.  SUITES[command](N, seed) lists a command's
@@ -126,15 +127,16 @@ def composition_coproduct_duality(pool) -> Outcome:
 def _word_side(lam, mu):
     """fdb_image at one (lam, mu), extended linearly over a dict that holds
     each basis forest's image once, and fdb_circ on basis word pairs, held
-    the same way."""
-    images, products = {}, {}
+    the same way.  The images share one dict of tree weights."""
+    images, products, weights = {}, {}, {}
 
     def image(x):
         out = WordSum()
         for H, c in x.terms.items():
             got = images.get(H)
             if got is None:
-                got = images[H] = fdb_image(lam, mu, ForestSum.term(H))
+                got = images[H] = fdb_image(lam, mu, ForestSum.term(H),
+                                            weights=weights)
             out.add_scaled(got, c)
         return out
 
@@ -154,9 +156,9 @@ def tree_to_word_morphism(pool) -> Outcome:
 
     fdb_image is linear and fdb_circ bilinear, so both sides are expanded
     over basis elements: for each (lam, mu), dicts scoped to the call hold
-    fdb_image of each basis forest and fdb_circ of each basis word pair
-    once, shared by every item.  circ(F, G) is held for the last (F, G)
-    only.  Each item is still one check.
+    fdb_image of each basis forest, the weight of each tree and fdb_circ of
+    each basis word pair once, shared by every item.  circ(F, G) is held
+    for the last (F, G) only.  Each item is still one check.
     """
     sides = {}
     last = None

@@ -6,16 +6,22 @@ it.  The degree of a tree is the sum of the decoration degrees over its
 vertices, so a single vertex may weigh more than one.
 
 Trees are immutable and canonical by construction: children are stored sorted
-under a total order (degree, root decoration, child keys), so structural
-equality is plain equality and multiset bookkeeping stays cheap.  A forest is
-a sorted tuple of trees; the empty forest is the monomial unit.
+under a total order (degree, root decoration, child keys).  A forest is a
+sorted tuple of trees; the empty forest is the monomial unit.
+
+Both are interned: constructing a tree or forest that is alive already
+returns that object, found in a table of weak references that drops an
+entry when its object dies.  Structural equality is therefore identity, and
+equality and hashing stay the default object ones, cheap at any depth.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -29,28 +35,61 @@ class Decoration(NamedTuple):
         return f"{self.eq}.{self.degree}"
 
 
+class _Entry(weakref.ref):
+    """Intern-table entry: a weak reference that knows where it is filed."""
+
+    __slots__ = ("table", "key")
+
+
+def _drop(entry: _Entry) -> None:
+    # a dead entry may already have been replaced by a live one
+    if entry.table.get(entry.key) is entry:
+        del entry.table[entry.key]
+
+
+def _file(table: dict, key, obj) -> None:
+    entry = _Entry(obj, _drop)
+    entry.table = table
+    entry.key = key
+    table[key] = entry
+
+
+_key = attrgetter("key")
+_TREES: dict = {}    # decoration -> {children tuple -> entry}
+_FORESTS: dict = {}  # sorted trees tuple -> entry
+
+
 class Tree:
-    """Canonical decorated rooted tree."""
+    """Canonical decorated rooted tree, interned: structurally equal trees
+    are one object, so equality and hashing are identity."""
 
-    __slots__ = ("decoration", "children", "degree", "vertices", "key", "_hash")
+    __slots__ = ("decoration", "children", "degree", "vertices", "key",
+                 "__weakref__")
 
-    def __init__(self, decoration, children: Iterable["Tree"] = ()):
+    def __new__(cls, decoration, children: Iterable["Tree"] = ()):
         if not isinstance(decoration, Decoration):
             decoration = Decoration(*decoration)
-        kids = tuple(sorted(children, key=lambda c: c.key))
+        kids = tuple(sorted(children, key=_key))
+        table = _TREES.get(decoration)
+        if table is None:
+            table = _TREES[decoration] = {}
+        entry = table.get(kids)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.decoration = decoration
         self.children = kids
         self.degree = decoration.degree + sum(c.degree for c in kids)
         self.vertices = 1 + sum(c.vertices for c in kids)
         # nested tuples compare lexicographically, giving the total order
         self.key = (self.degree, decoration, tuple(c.key for c in kids))
-        self._hash = hash(self.key)
+        _file(table, kids, self)
+        return self
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Tree) and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Tree, (self.decoration, self.children)
 
     def __lt__(self, other: "Tree") -> bool:
         return self.key < other.key
@@ -60,22 +99,27 @@ class Tree:
 
 
 class Forest:
-    """Multiset of trees, kept sorted; the unit is the empty forest."""
+    """Multiset of trees, kept sorted; the unit is the empty forest.
+    Interned like trees."""
 
-    __slots__ = ("trees", "degree", "key", "_hash")
+    __slots__ = ("trees", "degree", "key", "__weakref__")
 
-    def __init__(self, trees: Iterable[Tree] = ()):
-        ts = tuple(sorted(trees, key=lambda t: t.key))
+    def __new__(cls, trees: Iterable[Tree] = ()):
+        ts = tuple(sorted(trees, key=_key))
+        entry = _FORESTS.get(ts)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.trees = ts
         self.degree = sum(t.degree for t in ts)
         self.key = (self.degree, tuple(t.key for t in ts))
-        self._hash = hash(self.key)
+        _file(_FORESTS, ts, self)
+        return self
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Forest) and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __lt__(self, other: "Forest") -> bool:
         return self.key < other.key

@@ -264,6 +264,24 @@ def dense_hopf_failures(S, N):
     return checks, failing
 
 
+# ------------------------------------------------------------ tree shapes
+
+def shape_key(shape) -> tuple:
+    """Sort key of a tree shape (decoration, child shapes), read off the
+    shape itself and never off a built tree: (degree, decoration, child keys
+    in ascending order), the total order trees are meant to sort by."""
+    (eq, deg), kids = shape
+    keys = tuple(sorted(shape_key(k) for k in kids))
+    return (deg + sum(k[0] for k in keys), (eq, deg), keys)
+
+
+def forest_shape_key(shapes) -> tuple:
+    """Sort key of a forest given as tree shapes: (degree, tree keys in
+    ascending order)."""
+    keys = tuple(sorted(shape_key(s) for s in shapes))
+    return (sum(k[0] for k in keys), keys)
+
+
 # ------------------------------------------------------------- enumeration
 
 def forests_up_to(decorations, bound: int):

@@ -331,6 +331,17 @@ def test_deep_ladder_solution_prints(capsys):
     assert last.endswith(")" * N)
 
 
+def test_deep_ladder_lambda_table_prints(capsys):
+    # every leaf cut of a 1000-level ladder rebuilds the 999 levels above it
+    N = 1000
+    code, out, err = run(capsys, "lambda", "vars 1\neq 1\n  op 1 : 1 + h1\n",
+                         "-N", str(N))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[N - 1] == f"  i=1 cut=(1,1) n={N - 1} : 1"
+    assert lines[N] == "  fit i=1 cut=(1,1) : 1 + 0*(n-1)"
+
+
 def test_exhausted_memory_is_an_input_error(capsys, monkeypatch):
     def exhausts(S, N):
         raise MemoryError

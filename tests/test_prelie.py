@@ -37,7 +37,7 @@ from cdse import (
     tree_weight,
     trees_of_degree,
 )
-from cdse import suites
+from cdse import prelie, suites
 from cdse.families import build_case1
 from cdse.hopf import forest_coproduct
 from cdse.linear import LinComb
@@ -308,9 +308,9 @@ def _counting(monkeypatch, name):
     real = getattr(suites, name)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(suites, name, counted)
     return calls
@@ -402,8 +402,17 @@ def test_tree_to_word_check_keeps_a_verdict_per_item(monkeypatch):
 def test_tree_to_word_check_computes_each_basis_value_once(monkeypatch):
     image_calls = _counting(monkeypatch, "fdb_image")
     word_calls = _counting(monkeypatch, "fdb_circ")
+    weight_calls = []
+    real_weight = prelie.tree_weight
+
+    def weight(*args):
+        weight_calls.append(args)
+        return real_weight(*args)
+
+    monkeypatch.setattr(prelie, "tree_weight", weight)
     pool = _cli_pool("tree-to-word-morphism")
     assert suites.tree_to_word_morphism(iter(pool)) == (len(pool), [])
+    weighed = list(weight_calls)
     images = _basis_keys(image_calls)
     products = _basis_keys(word_calls)
     want_images, want_products = set(), set()
@@ -419,6 +428,11 @@ def test_tree_to_word_check_computes_each_basis_value_once(monkeypatch):
     assert set(images) == want_images
     assert len(products) == len(set(products)) == 84
     assert set(products) == want_products
+    # 795 tree weights for the 1,635 images, where weighing each tree of
+    # each image took 2,788
+    assert len(weighed) == len(set(weighed)) == 795
+    assert set(weighed) == {(lam, mu, t) for lam, mu, fh in want_images
+                            for t in fh.trees}
 
 
 def test_tree_to_word_check_keeps_a_verdict_per_item_on_a_wrong_image(
@@ -429,11 +443,11 @@ def test_tree_to_word_check_keeps_a_verdict_per_item_on_a_wrong_image(
     bad = (lam, mu, min(circ(ForestSum.term(fa), ForestSum.term(fb)).terms))
     real = suites.fdb_image
 
-    def wrong(lam, mu, x):
+    def wrong(lam, mu, x, **kwargs):
         # real on every basis forest but bad, where it is off by a letter
         out = WordSum()
         for fh, c in x.terms.items():
-            got = real(lam, mu, ForestSum.term(fh))
+            got = real(lam, mu, ForestSum.term(fh), **kwargs)
             if (lam, mu, fh) == bad:
                 got = got + WordSum.gen(fh.degree)
             out.add_scaled(got, c)

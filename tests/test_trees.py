@@ -1,7 +1,13 @@
-"""Canonical trees: construction, symmetry, enumeration, text format."""
+"""Canonical trees: construction, interning, symmetry, enumeration, text
+format."""
 
+import copy
+import gc
+import itertools
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +29,16 @@ from cdse import (
     tree_text,
     trees_of_degree,
 )
+from cdse import trees as trees_module
 from cdse.trees import EMPTY_FOREST
 
 from helpers import (
     TWO_LABELS,
     automorphism_count,
     forest_automorphism_count,
+    forest_shape_key,
     forests_up_to,
+    shape_key,
     trees_up_to,
 )
 
@@ -106,6 +115,81 @@ def test_canonical_form_is_order_invariant(t, rng):
 def test_canonical_idempotent(t):
     again = Tree(t.decoration, t.children)
     assert again == t and again.key == t.key
+
+
+# --------------------------------------------------------------- interning
+
+# shapes (decoration, child shapes) over few labels and small depth, so that
+# equal shapes come up often
+_shapes = st.recursive(
+    st.tuples(st.sampled_from([A, B, C]), st.just(())),
+    lambda kids: st.tuples(st.sampled_from([A, B]),
+                           st.lists(kids, max_size=2).map(tuple)),
+    max_leaves=4)
+
+
+def _build(shape, rng):
+    dec, kids = shape
+    built = [_build(k, rng) for k in kids]
+    rng.shuffle(built)
+    return Tree(dec, built)
+
+
+def _agrees_with(objs, keys):
+    """Two objects are one exactly when their shape keys agree, and the
+    objects sort as their keys do."""
+    for (x, kx), (y, ky) in itertools.product(zip(objs, keys), repeat=2):
+        assert (x is y) == (kx == ky)
+    order = sorted(range(len(objs)), key=objs.__getitem__)
+    assert [keys[i] for i in order] == sorted(keys)
+
+
+@given(st.lists(_shapes, min_size=2, max_size=8),
+       st.randoms(use_true_random=False))
+def test_equal_shapes_build_one_tree(shapes, rng):
+    _agrees_with([_build(s, rng) for s in shapes],
+                 [shape_key(s) for s in shapes])
+
+
+@given(st.lists(st.lists(_shapes, max_size=3), min_size=2, max_size=6),
+       st.randoms(use_true_random=False))
+def test_equal_shapes_build_one_forest(forests, rng):
+    built = []
+    for shapes in forests:
+        ts = [_build(s, rng) for s in shapes]
+        rng.shuffle(ts)
+        built.append(Forest(ts))
+    _agrees_with(built, [forest_shape_key(f) for f in forests])
+
+
+def test_a_tree_referenced_nowhere_leaves_the_table():
+    dec = Decoration(7, 3)  # used by no other test
+    t = Tree(dec, (leaf(1), ladder(A, B)))
+    f = Forest((t, t))
+    kids = t.children
+    refs = weakref.ref(t), weakref.ref(f)
+    del t, f
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert kids not in trees_module._TREES[dec]
+    assert not any(u.decoration == dec for ts in trees_module._FORESTS
+                   for u in ts)
+    # built again, it is a new object of the same shape
+    again = Tree(dec, reversed(kids))
+    assert again.children == kids and trees_module._TREES[dec][kids]() is again
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy"] + [
+    f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)])
+def test_copies_are_the_object_itself(how):
+    def clone(x):
+        if how.startswith("pickle"):
+            return pickle.loads(pickle.dumps(x, int(how[-1])))
+        return getattr(copy, how)(x)
+
+    t = Tree(A, (ladder(A, B), leaf(1, 2), leaf(1, 2)))
+    for x in (leaf(1), t, single(t), Forest((t, leaf(2))), EMPTY_FOREST):
+        assert clone(x) is x
 
 
 # ---------------------------------------------------------------- symmetry
