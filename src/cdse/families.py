@@ -47,12 +47,12 @@ expansion plus the Hopf certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .linear import ForestSum
 from .prelie import falling_product
+from .record import FrozenRecord, Record, fresh
 from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
@@ -67,8 +67,7 @@ def _frac(x) -> Fraction:
 
 # ------------------------------------------------- single-equation families
 
-@dataclass(frozen=True)
-class Case1:
+class Case1(FrozenRecord):
     """Power family: degree j carries (1 - mu*h)^(1 - lam*j/mu).
 
     nonconstant/constant split the inspected degree set by whether the
@@ -82,16 +81,14 @@ class Case1:
     as_case2: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class Case2:
+class Case2(FrozenRecord):
     """Gated affine family: 1 + alpha*h on multiples of m, 1 elsewhere."""
 
     modulus: int
     alpha: Fraction
 
 
-@dataclass(frozen=True)
-class Unclassifiable:
+class Unclassifiable(FrozenRecord):
     reason: str
 
 
@@ -215,8 +212,7 @@ LEVEL_ZERO = frozenset((DAMPED, REDUCED, FULL, SCALED))
 COUPLING_KINDS = (DAMPED, REDUCED, FULL)
 
 
-@dataclass
-class Vertex:
+class Vertex(Record):
     """One equation of a fundamental system.
 
     beta is required exactly for damped equations, nu for shifted and relay
@@ -231,7 +227,7 @@ class Vertex:
     kind: str
     beta: Optional[Fraction] = None
     nu: Optional[Fraction] = None
-    a: dict = field(default_factory=dict)
+    a: dict = fresh(dict)
     degrees: tuple = (1,)
     all_from: Optional[int] = None
 
@@ -773,8 +769,7 @@ def _drift_free(data: FundamentalData, i: int) -> bool:
                for v in data.vertices if v.kind in COUPLING_KINDS)
 
 
-@dataclass
-class ClosedFormReport:
+class ClosedFormReport(Record):
     ok: bool
     series_checks: int
     lambda_checks: int
@@ -862,8 +857,7 @@ def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormRepo
 
 # ------------------------------------------------------- quasi-cyclic data
 
-@dataclass
-class CycleVertex:
+class CycleVertex(Record):
     """One equation of a quasi-cyclic system: residue class, the scalar its
     dependencies carry, the equations one class forward it depends on, and
     its operator degrees (finite, each including 1 per the standing
@@ -969,8 +963,7 @@ def build_quasicyclic(data: QuasiCyclicData) -> SDSE:
     return SDSE.from_op_list(data.nvars, triples, strict=True)
 
 
-@dataclass
-class LadderSumReport:
+class LadderSumReport(Record):
     ok: bool
     components: int
     ladder_count: int

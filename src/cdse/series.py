@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
 from .linear import ForestSum, _accumulate
+from .record import FrozenRecord
 from .trees import EMPTY_FOREST
 
 
@@ -275,57 +275,47 @@ def geometric_family_shifted(beta, nvars: int, var: int, scale, trunc: int) -> T
 
 # ------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
-class Num:
+class Num(FrozenRecord):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(FrozenRecord):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(FrozenRecord):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(FrozenRecord):
     arg: object
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(FrozenRecord):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(FrozenRecord):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(FrozenRecord):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(FrozenRecord):
     base: object
     exponent: object  # must stay variable-free
 
 
-@dataclass(frozen=True)
-class Exp:
+class Exp(FrozenRecord):
     arg: object
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(FrozenRecord):
     arg: object
 
 
@@ -354,8 +344,7 @@ def ast_product(factors):
 
 
 _LEAVES = (Num, Var, Param)
-_PARTS = {cls: tuple(f.name for f in fields(cls))
-          for cls in (Neg, Add, Sub, Mul, Pow, Exp, Log)}
+_PARTS = {cls: cls._fields for cls in (Neg, Add, Sub, Mul, Pow, Exp, Log)}
 
 
 def _parts(e):

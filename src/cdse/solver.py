@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import ForestSum, _accumulate, tensor
+from .linear import ONE, ForestSum, _accumulate, tensor
+from .record import Record
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
                      expr_instantiate, expr_rescale_var, expr_series,
@@ -252,39 +252,45 @@ def _grafts(support, caps, slots, kept, rest):
     support, the nonzero coefficients of the operator's series.  caps[j] is
     the largest p_j over the support and slots the largest |p|; the search
     never exceeds them, so its work follows the nonzero solution.
-    Yields (children, p, product of a^mult / mult! over distinct children).
+    Yields (children, p, product of a^mult, product of mult!) over the
+    distinct children, the last an int.
     """
-    counts = [0] * len(caps)
-    picked = []
+    return _graft_search(support, caps, kept, [0] * len(caps), [],
+                         rest, 1, 0, slots, ONE, 1)
 
-    def rec(rest, low, start, slots, weight):
-        if rest == 0:
-            p = tuple(counts)
-            if p in support:
-                yield picked, p, weight
-            return
-        if slots == 0:
-            return
-        # children come in nondecreasing degree, so a next degree e leaves
-        # either nothing or at least e behind: e <= rest // 2 or e == rest
-        degrees = [rest] if slots == 1 else [*range(low, rest // 2 + 1), rest]
-        for e in degrees:
-            if e < low:
-                continue
-            row = kept.get(e, ())
-            for k in range(start if e == low else 0, len(row)):
-                t, a, j = row[k]
-                room = min(caps[j] - counts[j], slots, rest // e)
-                power = weight
-                for mult in range(1, room + 1):
-                    power = power * a / mult
-                    picked.append(t)
-                    counts[j] += 1
-                    yield from rec(rest - mult * e, e, k + 1, slots - mult, power)
-                del picked[len(picked) - room:]
-                counts[j] -= room
 
-    return rec(rest, 1, 0, slots, Fraction(1))
+def _graft_search(support, caps, kept, counts, picked,
+                  rest, low, start, slots, weight, fact):
+    # a module-level function rather than a closure that calls itself, so no
+    # reference cycle keeps kept alive after solve returns
+    if rest == 0:
+        p = tuple(counts)
+        if p in support:
+            yield picked, p, weight, fact
+        return
+    if slots == 0:
+        return
+    # children come in nondecreasing degree, so a next degree e leaves
+    # either nothing or at least e behind: e <= rest // 2 or e == rest
+    degrees = [rest] if slots == 1 else [*range(low, rest // 2 + 1), rest]
+    for e in degrees:
+        if e < low:
+            continue
+        row = kept.get(e, ())
+        for k in range(start if e == low else 0, len(row)):
+            t, a, j = row[k]
+            room = min(caps[j] - counts[j], slots, rest // e)
+            power, f = weight, fact
+            for mult in range(1, room + 1):
+                power = power * a
+                f *= mult
+                picked.append(t)
+                counts[j] += 1
+                yield from _graft_search(support, caps, kept, counts, picked,
+                                         rest - mult * e, e, k + 1,
+                                         slots - mult, power, f)
+            del picked[len(picked) - room:]
+            counts[j] -= room
 
 
 def solve(S: SDSE, N: int) -> Solution:
@@ -292,10 +298,11 @@ def solve(S: SDSE, N: int) -> Solution:
 
     a at a single root (i,q) is the constant term of f_iq; grafting children
     multiplies by the matching series coefficient f_iq[p] (p counts the
-    children per equation), by prod p_j!, and by a(sub)^mult / mult! for
-    each distinct child.  A tree has a nonzero coefficient exactly when its
-    children do and p lies in the support of f_iq, so each degree is built
-    only from the nonzero trees of lower degree.
+    children per equation), by a(sub)^mult for each distinct child, and by
+    prod p_j! / prod mult!, an int because it is a product of multinomials.
+    A tree has a nonzero coefficient exactly when its children do and p
+    lies in the support of f_iq, so each degree is built only from the
+    nonzero trees of lower degree.
     """
     if N < 1:
         raise SystemFormatError("degree bound must be >= 1")
@@ -313,8 +320,12 @@ def solve(S: SDSE, N: int) -> Solution:
         for dec, support, caps, slots in ops:
             if dec.degree > n:
                 continue
-            for kids, p, weight in _grafts(support, caps, slots, kept, n - dec.degree):
-                a = support[p] * weight * math.prod(map(math.factorial, p))
+            for kids, p, weight, fact in _grafts(support, caps, slots, kept,
+                                                 n - dec.degree):
+                a = support[p] * weight
+                multinomial = math.prod(map(math.factorial, p)) // fact
+                if multinomial != 1:
+                    a *= multinomial
                 per_eq[dec.eq].append((Tree(dec, kids), a))
         kept[n] = []
         for i, grown in per_eq.items():
@@ -355,25 +366,25 @@ def component_monomials(sol: Solution, degree: int):
     """
     gens = [(key, fs) for key, fs in sol.generators() if key[1] <= degree]
     out = []
-
-    def rec(start: int, remaining: int, label, acc: ForestSum):
-        if remaining == 0:
-            out.append((tuple(label), acc))
-            return
-        for idx in range(start, len(gens)):
-            key, fs = gens[idx]
-            if key[1] > remaining:
-                continue
-            rec(idx, remaining - key[1], label + [key], acc * fs)
-
-    rec(0, degree, [], ForestSum.one())
+    _monomials(gens, 0, degree, [], ForestSum.one(), out)
     return out
+
+
+def _monomials(gens, start: int, remaining: int, label, acc: ForestSum, out):
+    # module-level, like _graft_search, so that no cycle outlives the call
+    if remaining == 0:
+        out.append((tuple(label), acc))
+        return
+    for idx in range(start, len(gens)):
+        key, fs = gens[idx]
+        if key[1] > remaining:
+            continue
+        _monomials(gens, idx, remaining - key[1], label + [key], acc * fs, out)
 
 
 # --------------------------------------------------------------- Hopf test
 
-@dataclass
-class HopfFailure:
+class HopfFailure(Record):
     """The bidegree (k, n-k) slice of Delta x_eq(n) escapes U_k (x) U_(n-k).
 
     The witness is delta_F (x) psi for the first failing row F: psi kills
@@ -393,8 +404,7 @@ class HopfFailure:
                 f"(witness pairing {self.pairing})")
 
 
-@dataclass
-class HopfReport:
+class HopfReport(Record):
     order: int
     checks: int
     failures: list
@@ -639,8 +649,7 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
 
 # ------------------------------------------------------- coefficient ladder
 
-@dataclass
-class LadderReport:
+class LadderReport(Record):
     applicable: bool
     reason: str
     checks: int

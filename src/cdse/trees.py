@@ -89,7 +89,9 @@ class Tree:
         return self
 
     def __reduce__(self):
-        return Tree, (self.decoration, self.children)
+        # through the text form, read without recursion, so that copy and
+        # pickle handle deep ladders; parsing returns the live object
+        return parse_tree, (tree_text(self),)
 
     def __lt__(self, other: "Tree") -> bool:
         return self.key < other.key
@@ -119,7 +121,7 @@ class Forest:
         return self
 
     def __reduce__(self):
-        return Forest, (self.trees,)
+        return parse_forest, (forest_text(self),)
 
     def __lt__(self, other: "Forest") -> bool:
         return self.key < other.key

@@ -1,8 +1,10 @@
 """Systems: parsing, normalization, solving, Hopf checks, structure constants."""
 
+import gc
 import os
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from cdse import (
     truncate_at_1,
     verify_coefficient_ladder,
 )
+import cdse.hopf
 import cdse.linalg
 import cdse.solver
 from cdse.families import (
@@ -260,6 +263,39 @@ def test_ladder_system_solves_deep():
     sol = solve(sq(LADDER), 200)
     for n in range(1, 201):
         assert sol.component(1, n) == ForestSum.of_tree(ladder(*[(1, 1)] * n))
+
+
+def test_dropped_results_leave_no_tree_alive():
+    # solve and check_hopf keep no reference cycle, so the trees of a result
+    # die with it even while the cyclic collector is off; operator degrees
+    # 11 and 13 keep these trees apart from every other test's
+    S = sq("vars 2\neq 1\n  op 11 : (1 + h2)^2\n"
+           "eq 2\n  op 13 : 1 + h1 + h2\n")
+
+    def tree_refs(sol):
+        refs = [weakref.ref(t) for comp in sol.components.values()
+                for f in comp.terms for t in f]
+        assert len(refs) > 20
+        return refs
+
+    def alive(refs):
+        return [r() for r in refs if r() is not None]
+
+    gc.collect()
+    gc.disable()
+    try:
+        sol = solve(S, 60)
+        refs = tree_refs(sol)
+        del sol
+        assert alive(refs) == []
+        rep = check_hopf(S, 50)
+        refs = tree_refs(rep.solution)
+        del rep
+        cdse.hopf.tree_coproduct.cache_clear()
+        cdse.hopf.forest_coproduct.cache_clear()
+        assert alive(refs) == []
+    finally:
+        gc.enable()
 
 
 def test_five_kinds_tree_count():

@@ -192,6 +192,18 @@ def test_copies_are_the_object_itself(how):
         assert clone(x) is x
 
 
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_deep_ladder_copies_are_the_object_itself(how):
+    # at the default recursion limit, which a copier that recursed once per
+    # level would exceed
+    t = ladder(*[A] * 2000)
+    for x in (t, Forest((t, leaf(2)))):
+        if how == "pickle":
+            assert pickle.loads(pickle.dumps(x)) is x
+        else:
+            assert copy.deepcopy(x) is x
+
+
 # ---------------------------------------------------------------- symmetry
 
 def test_symmetry_small_cases():
