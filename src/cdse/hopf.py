@@ -7,11 +7,14 @@ gives
     split(t) = t (x) 1 + (id (x) B_d)(split(t_1) ... split(t_k))
 
 which agrees with the sum over admissible cuts (the cut enumeration lives in
-the test suite as an independent oracle).
+the test suite as an independent oracle).  The coefficients of
+tree_coproduct and forest_coproduct count cuts, so they are ints;
+coproduct and reduced_coproduct, linear in a forest sum, return Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,26 +25,42 @@ from .trees import (EMPTY_FOREST, Decoration, Forest, Tree, forest_symmetry,
 
 @lru_cache(maxsize=None)
 def tree_coproduct(t: Tree) -> TensorSum:
-    inner = forest_coproduct(Forest(t.children))
+    """Delta t, with int coefficients (cut counts).
+
+    Grafting under the root is injective, so each term of the children's
+    coproduct gives its own term and nothing needs accumulating.
+    """
     d = t.decoration
-    out = TensorSum.of(single(t), EMPTY_FOREST)
-    return out.add_scaled(inner.map_keys(
-        lambda lr: (lr[0], single(Tree(d, lr[1].trees)))))
+    terms = {(single(t), EMPTY_FOREST): 1}
+    for (left, right), c in forest_coproduct(Forest(t.children)).terms.items():
+        terms[left, single(Tree(d, right.trees))] = c
+    return TensorSum._like(terms)
 
 
 @lru_cache(maxsize=None)
 def forest_coproduct(f: Forest) -> TensorSum:
-    out = TensorSum.of(EMPTY_FOREST, EMPTY_FOREST)
-    for t in f.trees:
+    """Delta f, the product of its trees' coproducts; int coefficients."""
+    if not f.trees:
+        return TensorSum._like({(EMPTY_FOREST, EMPTY_FOREST): 1})
+    out = tree_coproduct(f.trees[0])
+    for t in f.trees[1:]:
         out = out * tree_coproduct(t)
     return out
 
 
 def coproduct(x: ForestSum) -> TensorSum:
-    out = TensorSum.zero()
+    """Delta x, with Fraction coefficients.
+
+    The cut counts are summed as ints over the common denominator of x's
+    coefficients, so each term of the result costs one Fraction.
+    """
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    acc = {}
     for f, c in x.terms.items():
-        out.add_scaled(forest_coproduct(f), c)
-    return out
+        m = c.numerator * (den // c.denominator)
+        for key, n in forest_coproduct(f).terms.items():
+            acc[key] = acc.get(key, 0) + m * n
+    return TensorSum._like({key: Fraction(v, den) for key, v in acc.items() if v})
 
 
 def reduced_coproduct(x: ForestSum) -> TensorSum:

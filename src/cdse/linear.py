@@ -42,8 +42,10 @@ class LinComb:
             (key, coeff if isinstance(coeff, Fraction) else Fraction(coeff))
             for key, coeff in terms or ()))
 
-    def _like(self, terms: dict) -> "LinComb":
-        res = type(self).__new__(type(self))
+    @classmethod
+    def _like(cls, terms: dict) -> "LinComb":
+        """Wrap terms as they are: no conversion, no zero check."""
+        res = cls.__new__(cls)
         res.terms = terms
         return res
 

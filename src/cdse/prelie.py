@@ -47,14 +47,16 @@ def _attach(base: Forest, assignment) -> Forest:
     children in stored order.
     """
     counter = itertools.count()
+    return Forest(tuple(_rebuild(t, assignment, counter) for t in base.trees))
 
-    def rebuild(t: Tree) -> Tree:
-        idx = next(counter)
-        kids = [rebuild(c) for c in t.children]
-        kids.extend(assignment.get(idx, ()))
-        return Tree(t.decoration, kids)
 
-    return Forest(tuple(rebuild(t) for t in base.trees))
+def _rebuild(t: Tree, assignment, counter) -> Tree:
+    # a module-level function rather than a closure that calls itself, so no
+    # reference cycle keeps the grafted trees alive after _attach returns
+    idx = next(counter)
+    kids = [_rebuild(c, assignment, counter) for c in t.children]
+    kids.extend(assignment.get(idx, ()))
+    return Tree(t.decoration, kids)
 
 
 def _vertex_count(f: Forest) -> int:

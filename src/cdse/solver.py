@@ -582,35 +582,40 @@ class LambdaTable:
         return (not bad, sorted(bad))
 
 
-def _leaf_cuts(t: Tree):
-    """Triples (d, t minus one leaf decorated d, count) over the non-root
-    leaves of t.  Equal children are visited once; count says how many
-    leaves the triple stands for.
+def _leaf_cut_table(t: Tree, tables: dict) -> dict:
+    """{(d, t minus one leaf decorated d): count} over the non-root leaves
+    of t, with the tables of t's subtrees kept in tables (leaves have none).
 
-    Walked in preorder with an explicit stack so that deep ladders stay
-    clear of the recursion limit.  Each stack entry carries its path as a
-    link (decoration, other children, link above) per vertex above it; a
-    leaf's cut is rebuilt along that path, bottom up.
+    A cut below child c of t = B(c, others) is c itself when c is a leaf,
+    or a cut of c's own table regrafted beside the others; equal children
+    are visited once and multiply the count.  Subtrees are filled in with
+    an explicit stack, so deep ladders stay clear of the recursion limit.
     """
-    todo = [(t, None, 1)]
+    todo = [t]
     while todo:
-        node, above, count = todo.pop()
-        if above is not None and not node.children:
-            dec, others, link = above
-            rest = Tree(dec, others)
-            while link is not None:
-                dec, others, link = link
-                rest = Tree(dec, others + (rest,))
-            yield node.decoration, rest, count
+        node = todo.pop()
+        if node in tables:
             continue
-        below = []
+        missing = [c for c in node.children if c.children and c not in tables]
+        if missing:
+            todo.append(node)
+            todo.extend(missing)
+            continue
+        table = {}
         pos = 0
         for child, group in itertools.groupby(node.children):
             mult = len(list(group))
             others = node.children[:pos] + node.children[pos + 1:]
             pos += mult
-            below.append((child, (node.decoration, others, above), count * mult))
-        todo.extend(reversed(below))
+            if not child.children:
+                key = (child.decoration, Tree(node.decoration, others))
+                table[key] = table.get(key, 0) + mult
+                continue
+            for (dec, rest), count in tables[child].items():
+                key = (dec, Tree(node.decoration, others + (rest,)))
+                table[key] = table.get(key, 0) + mult * count
+        tables[node] = table
+    return tables[t]
 
 
 def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
@@ -623,14 +628,30 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     the edge above a leaf, so that coefficient is the sum over trees s of
     x_i(n+q) of a_s times the number of (i', q)-leaves of s whose removal
     leaves t.  The table is read off those leaf cuts; no coproduct is formed.
+
+    Each distinct subtree gets one int table of its leaf cuts, built from
+    its children's tables, so a cut costs one tree per vertex where it
+    applies rather than a rebuild of the whole path above the leaf.  The
+    children of solution trees are lower-degree solution trees, so the
+    components are visited by degree; a tree of degree N is a subtree of
+    no tree of degree <= N, and its table is dropped once read.
     """
-    cuts = {}  # (leaf decoration, remaining tree) -> coefficient
-    for (i, m), comp in sol.components.items():
-        if m <= N:
-            for f, a in comp.terms.items():
-                _accumulate(cuts, (((dec, rest), a * count)
-                                   for dec, rest, count in _leaf_cuts(f.trees[0])))
+    tables = {}  # subtree -> its leaf-cut table, for this call only
+    cuts = {}    # (leaf decoration, remaining tree) -> coefficient
+    for (i, m), comp in sorted(sol.components.items(), key=lambda kv: kv[0][1]):
+        if m > N:
+            continue
+        for f, a in comp.terms.items():
+            t = f.trees[0]
+            table = _leaf_cut_table(t, tables)
+            if t.degree >= N:
+                del tables[t]
+            for key, count in table.items():
+                w = a if count == 1 else a * count
+                acc = cuts.get(key)
+                cuts[key] = w if acc is None else acc + w
     entries = {}
+    zero = Fraction(0)
     cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
     for i in range(1, S.nvars + 1):
         for (ip, q) in cut_decs:
@@ -640,10 +661,15 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
                 if not support:
                     entries[(i, (ip, q), n)] = VACUOUS
                     continue
-                ratios = {cuts.get((dec, f.trees[0]), Fraction(0)) / a_t
-                          for f, a_t in support.terms.items()}
-                entries[(i, (ip, q), n)] = (ratios.pop() if len(ratios) == 1
-                                            else INCONSISTENT)
+                ratio = None
+                for f, a_t in support.terms.items():
+                    r = cuts.get((dec, f.trees[0]), zero) / a_t
+                    if ratio is None:
+                        ratio = r
+                    elif r != ratio:
+                        ratio = INCONSISTENT
+                        break
+                entries[(i, (ip, q), n)] = ratio
     return LambdaTable(entries, N)
 
 

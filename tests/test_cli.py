@@ -332,7 +332,7 @@ def test_deep_ladder_solution_prints(capsys):
 
 
 def test_deep_ladder_lambda_table_prints(capsys):
-    # every leaf cut of a 1000-level ladder rebuilds the 999 levels above it
+    # a 1000-level ladder: its leaf-cut tables are built without recursion
     N = 1000
     code, out, err = run(capsys, "lambda", "vars 1\neq 1\n  op 1 : 1 + h1\n",
                          "-N", str(N))

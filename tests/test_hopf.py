@@ -21,7 +21,11 @@ from cdse import (
     leaf,
     single,
     forests_of_degree,
+    parse_system_text,
+    slice_coordinates,
+    solve,
 )
+from cdse.hopf import forest_coproduct
 from cdse.suites import (cocycle_identity, coassociativity, counit_axiom,
                          coproduct_grading, coproduct_multiplicativity)
 from cdse.trees import EMPTY_FOREST
@@ -74,6 +78,41 @@ def test_coproduct_matches_cut_enumeration_sampled_degree_5():
     rng = random.Random(7)
     for f in rng.sample(pool, 25):
         assert coproduct(ForestSum.term(f)) == cut_coproduct(f)
+
+
+def test_cut_counts_are_ints_and_coproducts_are_fractions():
+    """tree_coproduct and forest_coproduct count cuts in ints; coproduct and
+    reduced_coproduct, linear in a forest sum, give Fractions, coefficient
+    1 included, and so do slice coordinates."""
+    pool = forests_up_to(TWO_LABELS, 4)
+    for f in pool:
+        assert forest_coproduct(f) == cut_coproduct(f)
+        deltas = [forest_coproduct(f)] + [tree_coproduct(t) for t in f.trees]
+        assert all(type(c) is int for d in deltas for c in d.terms.values())
+    third = Fraction(1, 3)
+    rng = random.Random(11)
+    sums = [ForestSum.term(pool[5]), ForestSum.term(pool[-1])]
+    sums += [ForestSum(zip(rng.sample(pool, 4), (1, third, Fraction(-5, 2), 6)))
+             for _ in range(10)]
+    for x in sums:
+        want = TensorSum.zero()
+        for f, c in x.terms.items():
+            want.add_scaled(cut_coproduct(f), c)
+        got = coproduct(x)
+        assert got == want
+        reduced = reduced_coproduct(x)
+        for delta in (got, reduced):
+            assert delta.terms
+            assert all(type(c) is Fraction for c in delta.terms.values())
+    # the a (x) b terms of ab and of B_b(a) cancel: no zero is kept
+    a, b = leaf(1), leaf(2)
+    x = fs(a, b) - ForestSum.of_tree(Tree(b.decoration, (a,)))
+    assert (single(a), single(b)) not in coproduct(x).terms
+    assert coproduct(x) == cut_coproduct(Forest((a, b))) - cut_coproduct(
+        single(Tree(b.decoration, (a,))))
+    sol = solve(parse_system_text("vars 1\neq 1\n  op 1 : (1 + h1)^2\n"), 4)
+    coords = slice_coordinates(sol, 1, 4, 2)
+    assert coords and all(type(c) is Fraction for c in coords.values())
 
 
 def test_coproduct_of_unit():

@@ -5,10 +5,11 @@ import os
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdse import (
     Decoration,
@@ -53,11 +54,13 @@ from cdse.families import (
     is_family_text,
     parse_family_text,
 )
-from cdse.solver import INCONSISTENT, VACUOUS, _Span, component_monomials
+from cdse.prelie import graft
+from cdse.solver import (INCONSISTENT, VACUOUS, _leaf_cut_table, _Span,
+                         component_monomials)
 from cdse.trees import _trees_table
 
 from helpers import (dense_hopf_failures, dense_rref, lambda_by_coproduct,
-                     lambda_by_surgery)
+                     lambda_by_surgery, leaf_removals, trees_up_to)
 
 # the benchmark's named systems and rosters
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -294,6 +297,23 @@ def test_dropped_results_leave_no_tree_alive():
         cdse.hopf.tree_coproduct.cache_clear()
         cdse.hopf.forest_coproduct.cache_clear()
         assert alive(refs) == []
+    finally:
+        gc.enable()
+
+
+def test_grafting_leaves_no_tree_alive():
+    # the pre-Lie rebuild keeps no reference cycle either, so a grafted tree
+    # dies with the product while the cyclic collector is off; degrees 17
+    # and 19 keep these trees apart from every other test's
+    gc.collect()
+    gc.disable()
+    try:
+        t = Tree(Decoration(1, 17), (leaf(2, 19),))
+        ref = weakref.ref(t)
+        product = graft(t, ladder((2, 19), (1, 17)))
+        assert len(product.terms) == 2
+        del product, t
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -625,6 +645,47 @@ def test_leaf_cut_lambda_matches_coproduct(monkeypatch):
         assert entries == lambda_by_coproduct(S, sol, 5)
         markers.update(v for v in entries.values() if isinstance(v, str))
     assert markers == {INCONSISTENT, VACUOUS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(1, 5))
+@example(NOT_HOPF, 3)                        # INCONSISTENT at n = 2
+@example("vars 1\neq 1\n  op 2 : 1 + h1\n", 5)  # x(1) = 0: VACUOUS
+def test_leaf_cut_lambda_matches_coproduct_on_random_systems(text, N):
+    S = sq(text, strict=False)
+    sol = solve(S, N)
+    assert extract_lambda(S, sol, N).entries == lambda_by_coproduct(S, sol, N)
+
+
+def test_leaf_cut_tables_match_leaf_surgery():
+    """Filled in from no tables, a tree's leaf-cut table counts the trees
+    left by deleting each of its non-root leaves; the subtrees are filled
+    in with a stack, so a 2000-deep ladder needs no recursion."""
+    decs = (Decoration(1, 1), Decoration(2, 2))
+    for t in trees_up_to(decs, 6):
+        want = Counter((d, r) for d in decs for r in leaf_removals(t, d))
+        assert _leaf_cut_table(t, {}) == dict(want)
+    tables = {}
+    got = _leaf_cut_table(ladder(*[(1, 1)] * 2000), tables)
+    assert got == {(Decoration(1, 1), ladder(*[(1, 1)] * 1999)): 1}
+    assert len(tables) == 1999
+
+
+def test_leaf_cut_work_grows_linearly_on_ladders(monkeypatch):
+    """Each level of an n-deep ladder takes its one leaf cut from the level
+    below, so extract_lambda builds one tree per level above the first, not
+    one per level above every leaf, and rebuilds no dropped table."""
+    S = sq(LADDER)
+    sols = {n: solve(S, n) for n in (200, 400)}
+    built = []
+    monkeypatch.setattr(cdse.solver, "Tree",
+                        lambda *args: built.append(1) or Tree(*args))
+    counts = {}
+    for n, sol in sols.items():
+        del built[:]
+        assert extract_lambda(S, sol, n).value(1, 1, 1, n - 1) == 1
+        counts[n] = len(built)
+    assert counts == {200: 199, 400: 399}
 
 
 # --------------------------------------------------------- coefficient ladder
