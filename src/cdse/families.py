@@ -999,7 +999,8 @@ def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int) -> LadderSumReport
     at order N.
     """
     failures = []
-    sol = solve(S, N)
+    hopf = check_hopf(S, N)
+    sol = hopf.solution
     components = 0
     ladder_count = 0
     for v in data.vertices:
@@ -1018,7 +1019,6 @@ def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int) -> LadderSumReport
             if sol.component(i, n) != expected:
                 failures.append(f"component ({i},{n}) is not the weighted "
                                 f"chain sum")
-    hopf = check_hopf(S, N)
     if not hopf.is_hopf:
         failures.append("Hopf test failed")
     return LadderSumReport(not failures, components, ladder_count,

@@ -16,49 +16,57 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .linear import ForestSum, TensorSum
-from .trees import (EMPTY_FOREST, Decoration, Forest, Tree, forest_symmetry,
-                    single)
+from .trees import (EMPTY_FOREST, Decoration, Forest, Tree, _fill_tables,
+                    forest_symmetry, single)
 
 
-@lru_cache(maxsize=None)
-def tree_coproduct(t: Tree) -> TensorSum:
-    """Delta t, with int coefficients (cut counts).
-
-    Grafting under the root is injective, so each term of the children's
-    coproduct gives its own term and nothing needs accumulating.
-    """
+def _tree_cuts(t: Tree, tables: dict) -> TensorSum:
+    """Delta t from its children's entries in tables.  Grafting under the
+    root is injective, so each term of the children's coproduct gives its
+    own term and nothing needs accumulating."""
     d = t.decoration
     terms = {(single(t), EMPTY_FOREST): 1}
-    for (left, right), c in forest_coproduct(Forest(t.children)).terms.items():
+    for (left, right), c in _forest_cuts(t.children, tables).terms.items():
         terms[left, single(Tree(d, right.trees))] = c
     return TensorSum._like(terms)
 
 
-@lru_cache(maxsize=None)
+def _forest_cuts(trees: tuple, tables: dict) -> TensorSum:
+    """The product of the trees' coproducts, read from tables."""
+    if not trees:
+        return TensorSum._like({(EMPTY_FOREST, EMPTY_FOREST): 1})
+    out = tables[trees[0]]
+    for t in trees[1:]:
+        out = out * tables[t]
+    return out
+
+
+def tree_coproduct(t: Tree) -> TensorSum:
+    """Delta t, with int coefficients (cut counts)."""
+    return forest_coproduct(single(t))
+
+
 def forest_coproduct(f: Forest) -> TensorSum:
     """Delta f, the product of its trees' coproducts; int coefficients."""
-    if not f.trees:
-        return TensorSum._like({(EMPTY_FOREST, EMPTY_FOREST): 1})
-    out = tree_coproduct(f.trees[0])
-    for t in f.trees[1:]:
-        out = out * tree_coproduct(t)
-    return out
+    return _forest_cuts(f.trees, _fill_tables({}, f.trees, _tree_cuts))
 
 
 def coproduct(x: ForestSum) -> TensorSum:
     """Delta x, with Fraction coefficients.
 
+    The coproduct of each distinct subtree is built once, for this call.
     The cut counts are summed as ints over the common denominator of x's
     coefficients, so each term of the result costs one Fraction.
     """
+    tables = _fill_tables({}, (t for f in x.terms for t in f.trees),
+                          _tree_cuts)
     den = math.lcm(*(c.denominator for c in x.terms.values()))
     acc = {}
     for f, c in x.terms.items():
         m = c.numerator * (den // c.denominator)
-        for key, n in forest_coproduct(f).terms.items():
+        for key, n in _forest_cuts(f.trees, tables).terms.items():
             acc[key] = acc.get(key, 0) + m * n
     return TensorSum._like({key: Fraction(v, den) for key, v in acc.items() if v})
 

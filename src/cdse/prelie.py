@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from .linear import ONE, ForestSum, WordSum
-from .trees import (Decoration, Forest, Tree, single, tree_symmetry,
-                    trees_of_degree)
+from .trees import (Decoration, Forest, Tree, _fill_tables, single,
+                    tree_symmetry, trees_of_degree)
 
 
 def _as_forest_sum(a) -> ForestSum:
@@ -290,21 +290,15 @@ def fdb_solution(lam, mu, J, n: int) -> ForestSum:
 
 def fdb_solution_recursive(lam, mu, J, n: int) -> ForestSum:
     """Same series through the direct coefficient recursion on trees."""
-    memo = {}
-
-    def nu(t: Tree) -> Fraction:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        m = len(t.children)
-        val = falling_product(lam, mu, m, t.decoration.degree)
+    def nu(t: Tree, memo: dict) -> Fraction:
+        val = falling_product(lam, mu, len(t.children), t.decoration.degree)
         for sub, mult in Forest(t.children).grouped():
-            val *= nu(sub) ** mult / math.factorial(mult)
-        memo[t] = val
+            val *= memo[sub] ** mult / math.factorial(mult)
         return val
 
-    return ForestSum((single(t), nu(t))
-                     for t in trees_of_degree(_decorations(J), n))
+    trees = trees_of_degree(_decorations(J), n)
+    memo = _fill_tables({}, trees, nu)
+    return ForestSum((single(t), memo[t]) for t in trees)
 
 
 def fdb_surjective(J, lam, mu, all_degrees: bool = False) -> bool:

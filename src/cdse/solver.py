@@ -29,7 +29,7 @@ from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
                      expr_instantiate, expr_rescale_var, expr_series,
                      expr_text, expr_uses_param, parse_expr, substitute)
-from .trees import Decoration, Tree, single
+from .trees import Decoration, Tree, _fill_tables, single
 
 # depth used when comparing operator series for identity or zeroness; a
 # polynomial is compared at its exact degree bound when that is higher, and
@@ -450,6 +450,21 @@ class _Span:
         return phi, t[c]
 
 
+def _slices(sol: Solution) -> dict:
+    """(i, n, k) -> F -> G -> coefficient of F (x) G in Delta x_i(n), for
+    0 < k < n, off one coproduct of the sum of all components (disjoint
+    supports).  A cut keeps the root in the trunk G, one tree, so i is the
+    root equation of G and n = deg F + deg G."""
+    total = ForestSum._like({f: c for comp in sol.components.values()
+                             for f, c in comp.terms.items()})
+    slices = {}
+    for (f, g), c in coproduct(total).terms.items():
+        if f.degree and g.degree:
+            key = (g.trees[0].decoration.eq, f.degree + g.degree, f.degree)
+            slices.setdefault(key, {}).setdefault(f, {})[g] = c
+    return slices
+
+
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
 
@@ -476,20 +491,16 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
             spans[d] = _Span([u for _, u in component_monomials(sol, d)])
         return spans[d]
 
+    slices = _slices(sol)
     checks = 0
     failures = []
     for i in range(1, S.nvars + 1):
         for n in range(2, N + 1):
-            comp = sol.component(i, n)
-            if not comp:
+            if not sol.component(i, n):
                 continue
             checks += n - 1
-            # left degree k -> left forest F -> right forest G -> coefficient
-            slices = {}
-            for (f, g), c in coproduct(comp).terms.items():
-                if f.degree and g.degree:
-                    slices.setdefault(f.degree, {}).setdefault(f, {})[g] = c
-            for k, rows in sorted(slices.items()):
+            for k in range(1, n):
+                rows = slices.get((i, n, k), {})
                 for f in sorted(rows):
                     found = span(n - k).separate(rows[f])
                     if found is not None:
@@ -584,38 +595,26 @@ class LambdaTable:
 
 def _leaf_cut_table(t: Tree, tables: dict) -> dict:
     """{(d, t minus one leaf decorated d): count} over the non-root leaves
-    of t, with the tables of t's subtrees kept in tables (leaves have none).
+    of t, from its children's tables in tables (a leaf's is empty).
 
     A cut below child c of t = B(c, others) is c itself when c is a leaf,
     or a cut of c's own table regrafted beside the others; equal children
-    are visited once and multiply the count.  Subtrees are filled in with
-    an explicit stack, so deep ladders stay clear of the recursion limit.
+    are visited once and multiply the count.
     """
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if node in tables:
+    table = {}
+    pos = 0
+    for child, group in itertools.groupby(t.children):
+        mult = len(list(group))
+        others = t.children[:pos] + t.children[pos + 1:]
+        pos += mult
+        if not child.children:
+            key = (child.decoration, Tree(t.decoration, others))
+            table[key] = table.get(key, 0) + mult
             continue
-        missing = [c for c in node.children if c.children and c not in tables]
-        if missing:
-            todo.append(node)
-            todo.extend(missing)
-            continue
-        table = {}
-        pos = 0
-        for child, group in itertools.groupby(node.children):
-            mult = len(list(group))
-            others = node.children[:pos] + node.children[pos + 1:]
-            pos += mult
-            if not child.children:
-                key = (child.decoration, Tree(node.decoration, others))
-                table[key] = table.get(key, 0) + mult
-                continue
-            for (dec, rest), count in tables[child].items():
-                key = (dec, Tree(node.decoration, others + (rest,)))
-                table[key] = table.get(key, 0) + mult * count
-        tables[node] = table
-    return tables[t]
+        for (dec, rest), count in tables[child].items():
+            key = (dec, Tree(t.decoration, others + (rest,)))
+            table[key] = table.get(key, 0) + mult * count
+    return table
 
 
 def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
@@ -643,7 +642,7 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
             continue
         for f, a in comp.terms.items():
             t = f.trees[0]
-            table = _leaf_cut_table(t, tables)
+            table = _fill_tables(tables, (t,), _leaf_cut_table)[t]
             if t.degree >= N:
                 del tables[t]
             for key, count in table.items():

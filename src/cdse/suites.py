@@ -9,15 +9,16 @@ still gives one verdict per item:
 - pre_lie_identity holds circ(F, G) once per distinct basis pair in a dict
   scoped to the call, for any pool order;
 - composition_coproduct_duality holds star(F, G) the same way, and
-  symmetry(H) and Delta H for the last H only, so it computes them once
-  per run of equal H: the command's pool is H-major within each degree.
-  It reads an absent coefficient as the int 0, so the many triples that
-  are 0 on both sides cost no Fraction;
+  symmetry(H) and Delta H once per distinct H.  It reads an absent
+  coefficient as the int 0, so the many triples that are 0 on both sides
+  cost no Fraction;
 - tree_to_word_morphism holds, for each (lam, mu), fdb_image of each basis
   forest, tree_weight of each tree and fdb_circ of each basis word pair
   once, for any pool order, and circ(F, G) for the last pair only: each
   pair once on the command's pool, which is pair-major (the word
-  parameters vary fastest).
+  parameters vary fastest);
+- the comultiplication checks hold forest_coproduct once per distinct
+  forest.
 
 A holder for the last item only is still correct on any order; it just
 recomputes more.  SUITES[command](N, seed) lists a command's
@@ -27,7 +28,7 @@ recomputes more.  SUITES[command](N, seed) lists a command's
 import itertools
 import random
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from typing import NamedTuple
 
 from .hopf import coproduct, forest_coproduct, graft_operator
@@ -102,11 +103,10 @@ def composition_coproduct_duality(pool) -> Outcome:
     coefficient of H in F star G, against symmetry(F) symmetry(G) times the
     coefficient of F (x) G in Delta H.  A dict scoped to the call holds
     star(F, G) and symmetry(F) symmetry(G) once per distinct (F, G) of the
-    pool, shared by every H; each triple is still one check.  symmetry(H)
-    and Delta H are held for the last H only.
+    pool, shared by every H, and symmetry(H) and Delta H once per distinct
+    H; each triple is still one check.
     """
     shared = {}
-    last = None
     checks, failures = 0, []
     for F, G, H in pool:
         checks += 1
@@ -115,8 +115,10 @@ def composition_coproduct_duality(pool) -> Outcome:
             got = shared[F, G] = (star(ForestSum.term(F), ForestSum.term(G)),
                                   forest_symmetry(F) * forest_symmetry(G))
         product, symmetry = got
-        if H != last:
-            last, h_symmetry, delta = H, forest_symmetry(H), forest_coproduct(H)
+        got = shared.get(H)
+        if got is None:
+            got = shared[H] = (forest_symmetry(H), forest_coproduct(H))
+        h_symmetry, delta = got
         # an absent key reads as the int 0: most triples are 0 against 0
         if (h_symmetry * product.terms.get(H, 0)
                 != symmetry * delta.terms.get((F, G), 0)):
@@ -192,14 +194,30 @@ def weighted_solution_two_routes(lam, mu, J, n):
 
 # ---------------------------------------------------------- comultiplication
 
-@_each
-def coassociativity(f):
+def _each_with_coproduct(holds):
+    """_each for holds(delta, *item), delta(f) being forest_coproduct(f)
+    held once per forest in a dict scoped to the check."""
+    @wraps(holds)
+    def check(pool) -> Outcome:
+        held = {}
+
+        def delta(f):
+            if f not in held:
+                held[f] = forest_coproduct(f)
+            return held[f]
+
+        return _each(partial(holds, delta))(pool)
+    return check
+
+
+@_each_with_coproduct
+def coassociativity(delta, f):
     """(Delta (x) id) Delta f equals (id (x) Delta) Delta f."""
-    delta = forest_coproduct(f).terms.items()
-    left = LinComb(((u, v, b), c * d) for (a, b), c in delta
-                   for (u, v), d in forest_coproduct(a).terms.items())
-    right = LinComb(((a, u, v), c * d) for (a, b), c in delta
-                    for (u, v), d in forest_coproduct(b).terms.items())
+    terms = delta(f).terms.items()
+    left = LinComb(((u, v, b), c * d) for (a, b), c in terms
+                   for (u, v), d in delta(a).terms.items())
+    right = LinComb(((a, u, v), c * d) for (a, b), c in terms
+                    for (u, v), d in delta(b).terms.items())
     return left == right
 
 
@@ -212,10 +230,10 @@ def counit_axiom(f):
     return left == right == ForestSum.term(f)
 
 
-@_each
-def coproduct_multiplicativity(f, g):
+@_each_with_coproduct
+def coproduct_multiplicativity(delta, f, g):
     """Delta(f g) equals Delta f times Delta g."""
-    return forest_coproduct(f * g) == forest_coproduct(f) * forest_coproduct(g)
+    return delta(f * g) == delta(f) * delta(g)
 
 
 @_each

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -163,9 +162,26 @@ def ladder(*decorations) -> Tree:
     return node
 
 
+def _fill_tables(tables: dict, roots, build) -> dict:
+    """Set tables[t] = build(t, tables) for each root t and each of its
+    subtrees not yet in tables, children first, and return tables.  The
+    walk keeps an explicit stack, so deep ladders need no recursion."""
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if node in tables:
+            continue
+        missing = [c for c in node.children if c not in tables]
+        if missing:
+            todo.append(node)
+            todo.extend(missing)
+            continue
+        tables[node] = build(node, tables)
+    return tables
+
+
 # ---------------------------------------------------------------- symmetry
 
-@lru_cache(maxsize=None)
 def tree_symmetry(t: Tree) -> int:
     """Order of the automorphism group of t fixing the root.
 
@@ -197,7 +213,6 @@ def _as_decorations(decorations) -> tuple:
                          for d in decorations}))
 
 
-@lru_cache(maxsize=None)
 def _trees_table(decs: tuple, n: int) -> tuple:
     """tuple indexed by degree 0..n; entry m holds all trees of degree m."""
     table = [()] * (n + 1)
@@ -240,9 +255,8 @@ def forests_of_degree(decorations, n: int) -> tuple:
         return ()
     if n == 0:
         return (EMPTY_FOREST,)
-    decs = _as_decorations(decorations)
-    pool = [t for m in range(1, n + 1) for t in _trees_table(decs, n)[m]]
-    pool.sort(key=lambda t: (t.degree, t.key))
+    table = _trees_table(_as_decorations(decorations), n)
+    pool = [t for ts in table for t in ts]  # by degree, then key
     out = [Forest(kids) for kids in _multisets(tuple(pool), n, 0)]
     return tuple(sorted(out, key=lambda f: f.key))
 

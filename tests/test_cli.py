@@ -1,9 +1,11 @@
 """End-to-end command runs, in process, with captured output."""
 
+import gc
 import io
 
 import pytest
 
+import cdse.trees
 from cdse import suites
 from cdse.cli import main
 from cdse.families import build_case1
@@ -268,6 +270,22 @@ def test_selftest_fails_on_a_broken_coproduct(capsys, monkeypatch):
     assert lines[-1] == "status fail"
     assert any(line.startswith("suite coassociativity | fail |")
                for line in lines)
+
+
+def test_selftest_leaves_no_tree_alive(capsys):
+    # every memo is scoped to the call that fills it, so the trees the
+    # suites build die with them even while the cyclic collector is off
+    def live():
+        return sum(len(table) for table in cdse.trees._TREES.values())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        assert run(capsys, "selftest", "-N", "3")[0] == 0
+        assert live() == before
+    finally:
+        gc.enable()
 
 
 def test_prelie_verify_fails_on_a_broken_recursion(capsys, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import cdse.families
+import cdse.solver
 from cdse import SystemFormatError
 from cdse.families import (Case1, Case2, CycleVertex, FundamentalData,
                            QuasiCyclicData, Unclassifiable, Vertex,
@@ -288,6 +290,20 @@ def test_quasicyclic_three_cycle():
     assert rep.ok, rep.failures
     assert rep.hopf
     assert rep.ladder_count > 0
+
+
+def test_ladder_sums_solve_once(monkeypatch):
+    """check_ladder_sums reads the components off the Hopf report."""
+    calls = []
+
+    def counted(S, N):
+        calls.append(N)
+        return solve(S, N)
+
+    monkeypatch.setattr(cdse.families, "solve", counted)
+    monkeypatch.setattr(cdse.solver, "solve", counted)
+    assert check_ladder_sums(S_QC3, QC3, 5).ok
+    assert calls == [5]
 
 
 def test_quasicyclic_self_loop():

@@ -18,6 +18,7 @@ from cdse import (
     tensor_pairing,
     tree_coproduct,
     Tree,
+    ladder,
     leaf,
     single,
     forests_of_degree,
@@ -47,6 +48,17 @@ def test_coproduct_of_a_leaf():
     t = leaf(1)
     assert tree_coproduct(t) == (TensorSum.of(single(t), ONE)
                                  + TensorSum.of(ONE, single(t)))
+
+
+def test_coproduct_of_a_deep_ladder():
+    """The subtrees' coproducts are filled in children first with a stack,
+    so a 600-level ladder stays clear of the recursion limit: one cut above
+    each non-root vertex and the two end terms, each counted once."""
+    t = ladder(*[A] * 600)
+    for delta in (tree_coproduct(t), coproduct(ForestSum.of_tree(t))):
+        assert len(delta.terms) == 601
+        assert set(delta.terms.values()) == {1}
+        assert delta.terms[single(leaf(1)), single(ladder(*[A] * 599))] == 1
 
 
 def test_coproduct_two_distinct_children_has_five_terms():

@@ -206,8 +206,7 @@ def test_duality_check_keeps_a_verdict_per_triple(monkeypatch):
     shift = ForestSum.term(bad_h)
     got = suites.composition_coproduct_duality(pool)
     assert got == (len(pool), [(bad_f, bad_g, bad_h)])
-    # symmetry(H) and Delta H are held for the last H only: a pool that
-    # is not H-major gets the same verdicts, in its own order
+    # a pool that is not H-major gets the same verdicts, in its own order
     random.Random(3).shuffle(pool)
     got = suites.composition_coproduct_duality(pool)
     assert got == (len(pool), [(bad_f, bad_g, bad_h)])

@@ -39,9 +39,9 @@ from cdse import (
     truncate_at_1,
     verify_coefficient_ladder,
 )
-import cdse.hopf
 import cdse.linalg
 import cdse.solver
+import cdse.trees
 from cdse.families import (
     CycleVertex,
     FundamentalData,
@@ -55,9 +55,9 @@ from cdse.families import (
     parse_family_text,
 )
 from cdse.prelie import graft
-from cdse.solver import (INCONSISTENT, VACUOUS, _leaf_cut_table, _Span,
-                         component_monomials)
-from cdse.trees import _trees_table
+from cdse.solver import (INCONSISTENT, VACUOUS, _leaf_cut_table, _slices,
+                         _Span, component_monomials)
+from cdse.trees import _fill_tables
 
 from helpers import (dense_hopf_failures, dense_rref, lambda_by_coproduct,
                      lambda_by_surgery, leaf_removals, trees_up_to)
@@ -269,8 +269,9 @@ def test_ladder_system_solves_deep():
 
 
 def test_dropped_results_leave_no_tree_alive():
-    # solve and check_hopf keep no reference cycle, so the trees of a result
-    # die with it even while the cyclic collector is off; operator degrees
+    # solve and check_hopf keep no reference cycle and no memo outlives the
+    # call, so the trees of a result die with it even while the cyclic
+    # collector is off and no cache is cleared; operator degrees
     # 11 and 13 keep these trees apart from every other test's
     S = sq("vars 2\neq 1\n  op 11 : (1 + h2)^2\n"
            "eq 2\n  op 13 : 1 + h1 + h2\n")
@@ -294,9 +295,35 @@ def test_dropped_results_leave_no_tree_alive():
         rep = check_hopf(S, 50)
         refs = tree_refs(rep.solution)
         del rep
-        cdse.hopf.tree_coproduct.cache_clear()
-        cdse.hopf.forest_coproduct.cache_clear()
         assert alive(refs) == []
+    finally:
+        gc.enable()
+
+
+def test_lambda_leaves_no_tree_alive(monkeypatch):
+    # extract_lambda's leaf-cut tables are scoped to the call, so every tree
+    # that solve and extract_lambda build dies with their results while the
+    # cyclic collector is off; the cuts leave eq-2 leaves, which no solution
+    # tree has, and degrees 7 and 9 keep these trees apart from other tests'
+    S = sq("vars 2\neq 1\n  op 7 : (1 + h2)^2\neq 2\n  op 9 : h1\n",
+           strict=False)
+    built = []
+
+    def remember(*args):
+        t = Tree(*args)
+        built.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(cdse.solver, "Tree", remember)
+    gc.collect()
+    gc.disable()
+    try:
+        sol = solve(S, 60)
+        solved = len(built)
+        table = extract_lambda(S, sol, 60)
+        assert solved > 10 and len(built) > solved
+        del sol, table
+        assert [r() for r in built if r() is not None] == []
     finally:
         gc.enable()
 
@@ -323,11 +350,13 @@ def test_five_kinds_tree_count():
     assert sum(len(comp.terms) for comp in sol.components.values()) == 5434
 
 
-def test_solve_leaves_the_enumeration_cache_alone():
-    before = _trees_table.cache_info().currsize
+def test_solve_does_not_enumerate_trees(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve enumerated trees")
+
+    monkeypatch.setattr(cdse.trees, "_trees_table", refuse)
     solve(intro_system(), 5)
     solve(sq(SQUARE), 6)
-    assert _trees_table.cache_info().currsize == before
 
 
 def test_fixed_point_property():
@@ -516,6 +545,20 @@ def test_row_test_matches_dense_oracle_on_random_systems(text):
     assert_certified(rep)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(2, 5))
+def test_one_coproduct_splits_into_the_components(text, N):
+    """The slices read off one coproduct of the sum of all components are
+    those of each component's own coproduct."""
+    sol = solve(sq(text, strict=False), N)
+    want = {}
+    for (i, n), comp in sol.components.items():
+        for (f, g), c in coproduct(comp).terms.items():
+            if f.degree and g.degree:
+                want.setdefault((i, n, f.degree), {}).setdefault(f, {})[g] = c
+    assert _slices(sol) == want
+
+
 def test_row_side_certificate():
     """Every failure is caught on a row F, so its witness is delta_F (x) psi;
     for NOT_HOPF, psi is spread over two forests."""
@@ -664,11 +707,14 @@ def test_leaf_cut_tables_match_leaf_surgery():
     decs = (Decoration(1, 1), Decoration(2, 2))
     for t in trees_up_to(decs, 6):
         want = Counter((d, r) for d in decs for r in leaf_removals(t, d))
-        assert _leaf_cut_table(t, {}) == dict(want)
+        tables = {}
+        _fill_tables(tables, (t,), _leaf_cut_table)
+        assert tables[t] == dict(want)
     tables = {}
-    got = _leaf_cut_table(ladder(*[(1, 1)] * 2000), tables)
-    assert got == {(Decoration(1, 1), ladder(*[(1, 1)] * 1999)): 1}
-    assert len(tables) == 1999
+    deep = ladder(*[(1, 1)] * 2000)
+    _fill_tables(tables, (deep,), _leaf_cut_table)
+    assert tables[deep] == {(Decoration(1, 1), ladder(*[(1, 1)] * 1999)): 1}
+    assert len(tables) == 2000
 
 
 def test_leaf_cut_work_grows_linearly_on_ladders(monkeypatch):
