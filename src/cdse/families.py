@@ -22,21 +22,25 @@ carries a structural kind that fixes its operator series in closed form:
   extension  level >= 1; affine series 1 + sum a_j*h_j chaining one level
              down per unit of operator degree
 
-The shared product is
+Each damped, reduced or full equation j carries two constants, a base b_j
+(beta_j, 1 or 0) and a slope s_j (1 + beta_j, 1 or 0), and every coupling
+toward j enters through one factor: a scalar c becomes
 
-  Q = prod over damped j of (1 - beta_j*h_j)^(-(1+beta_j)/beta_j)
-      * prod over reduced j of (1 - h_j)^(-1),
+  factor_j(c) = (1 - b_j*h_j)^(-c/b_j),   read as exp(c*h_j) when b_j = 0.
 
-where a beta_j = 0 factor is read as exp(h_j) (so Q^q carries exp(q*h_j))
-and a beta_j = -1 factor is the constant 1.  An equation's level is its
-depth in the dependence graph; operators of degree q above the level take
-the form g_i * Q^q with g_i determined by the kind.  An extension equation
-has three regimes: affine at degree 1, a copy of its chain equation q-1
-hops down for 2 <= q <= level (that equation's affine series below the
-level, its degree-1 series at it), and g_i * Q^q above the level.
-check_closed_forms verifies every regime on a solved system, together with
-the affine structure constants predicted by expected_lambda, which it reads
-off the solution's leaf cuts rather than its coproduct.
+The shared product is Q = prod over those j of factor_j(s_j), so a full
+equation and a damped one with beta_j = -1 contribute the constant 1, and
+Q^q carries factor_j(q*s_j).
+
+An equation's level is its depth in the dependence graph; operators of
+degree q above the level take the form g_i * Q^q with g_i determined by
+the kind.  An extension equation has three regimes: affine at degree 1,
+a copy of its chain equation q-1 hops down for 2 <= q <= level (that
+equation's affine series below the level, its degree-1 series at it), and
+g_i * Q^q above the level.  check_closed_forms verifies every regime on a
+solved system, together with the affine structure constants predicted by
+expected_lambda, which it reads off the solution's leaf cuts rather than
+its coproduct.
 
 QuasiCyclicData describes systems whose equations sit on a cycle of residue
 classes, every dependency pointing one class forward; solutions are
@@ -313,7 +317,7 @@ class FundamentalData:
             if v.kind == RELAY and v.nu == 0:
                 raise SystemFormatError(f"{where}: relay needs nu != 0")
         v.a = {j: _frac(c) for j, c in dict(v.a).items() if c != 0}
-        if v.kind in (DAMPED, REDUCED, FULL) and v.a:
+        if v.kind in COUPLING_KINDS and v.a:
             raise SystemFormatError(f"{where}: {v.kind} takes no couplings")
         targets = {SCALED: COUPLING_KINDS, SHIFTED: COUPLING_KINDS,
                    RELAY: (SCALED,)}.get(v.kind)
@@ -330,10 +334,7 @@ class FundamentalData:
                                     f"nonzero coupling")
 
     def _check_disjunction(self, v: Vertex):
-        canonical = {DAMPED: lambda j: 1 + self.beta(j),
-                     REDUCED: lambda j: Fraction(1),
-                     FULL: lambda j: Fraction(0)}
-        if all(v.a.get(j, Fraction(0)) == canonical[self.kind(j)](j)
+        if all(v.a.get(j, Fraction(0)) == drift_slope(self, j)
                for j in self._by
                if self.kind(j) in COUPLING_KINDS):
             raise SystemFormatError(
@@ -422,18 +423,23 @@ class FundamentalData:
 # lambda_n = drift_intercept + drift_slope * (n - 1) once n exceeds the
 # equation's level, while n = 1 always reads off the series' linear part.
 
-def _offset(data: FundamentalData, j: int) -> Fraction:
+def drift_slope(data: FundamentalData, j: int) -> Fraction:
+    """Per-degree growth s_j of lambda_n along the dependency j, also Q's
+    scalar toward j: 1 + beta_j toward a damped equation, 1 toward a
+    reduced one, 0 toward any other."""
     k = data.kind(j)
     if k == DAMPED:
         return 1 + data.beta(j)
-    if k == REDUCED:
-        return Fraction(1)
-    return Fraction(0)
+    return Fraction(1) if k == REDUCED else Fraction(0)
 
 
-def drift_slope(data: FundamentalData, j: int) -> Fraction:
-    """Per-degree growth of lambda_n along the dependency j."""
-    return _offset(data, j) if data.kind(j) in (DAMPED, REDUCED) else Fraction(0)
+def _base(data: FundamentalData, j: int) -> Fraction:
+    """Base b_j of the coupling factor toward j: beta_j toward a damped
+    equation, 1 toward a reduced one, 0 toward a full one."""
+    k = data.kind(j)
+    if k == DAMPED:
+        return data.beta(j)
+    return Fraction(1) if k == REDUCED else Fraction(0)
 
 
 def first_constant(data: FundamentalData, j: int, i: int) -> Fraction:
@@ -442,14 +448,11 @@ def first_constant(data: FundamentalData, j: int, i: int) -> Fraction:
     kj, ki = data.kind(j), data.kind(i)
     if kj in COUPLING_KINDS:
         if ki in COUPLING_KINDS:
-            if kj == DAMPED:
-                return Fraction(1) if i == j else 1 + data.beta(j)
-            if kj == REDUCED:
-                return Fraction(0) if i == j else Fraction(1)
-            return Fraction(0)
+            # Q's scalar, with equation i's own factor lowered by b_j
+            return drift_slope(data, j) - (_base(data, j) if i == j else 0)
         if ki == RELAY:
             c = _relay_coupling(data, i).get(j, Fraction(0))
-            return (c - _offset(data, j)) / data.nu(i)
+            return (c - drift_slope(data, j)) / data.nu(i)
         return data.coupling(i).get(j, Fraction(0))
     if kj == SCALED:
         if ki in (RELAY, EXTENSION):
@@ -471,7 +474,7 @@ def drift_intercept(data: FundamentalData, j: int, i: int) -> Fraction:
         return data.nu(i) * data.coupling(i).get(j, Fraction(0))
     if ki == RELAY:
         c = _relay_coupling(data, i).get(j, Fraction(0))
-        return c - _offset(data, j)
+        return c - drift_slope(data, j)
     # extension: one step down the chain costs one slope unit
     return drift_intercept(data, j, _walk(data, i, 1)) - drift_slope(data, j)
 
@@ -535,97 +538,74 @@ def _affine_q_ast(c0: Fraction, c1: Fraction, q: Optional[int]):
     return term if c0 == 0 else Add(num(c0), term)
 
 
-def _closed_rows(data: FundamentalData, i: int):
-    """Factor data for f_iq = g_i * Q^q at degrees above the level.
+def closed_form_ast(data: FundamentalData, i: int, q: Optional[int]):
+    """g_i * Q^q as one expression; q None builds a family template.
 
-    Yields (j, shape, base, c0, c1): shape 'pow' contributes
-    (1 - base*h_j)^(c0 + c1*q), shape 'exp' contributes exp((c0 + c1*q)*h_j).
-    """
+    The factor toward each damped, reduced or full equation j carries the
+    scalar c = (a_j - s_j) + s_j*q, a_j being the drift intercept toward i."""
+    factors = []
     for v in data.vertices:
         j = v.index
-        if v.kind == DAMPED:
-            aj = drift_intercept(data, j, i)
-            b = v.beta
-            if b == 0:
-                yield (j, "exp", None, aj - 1, Fraction(1))
-            else:
-                yield (j, "pow", b, -(aj - 1 - b) / b, -(1 + b) / b)
-        elif v.kind == REDUCED:
-            aj = drift_intercept(data, j, i)
-            yield (j, "pow", Fraction(1), 1 - aj, Fraction(-1))
-        elif v.kind == FULL:
-            aj = drift_intercept(data, j, i)
-            yield (j, "exp", None, aj, Fraction(0))
-
-
-def closed_form_ast(data: FundamentalData, i: int, q: Optional[int]):
-    """g_i * Q^q as one expression; q None builds a family template."""
-    factors = []
-    for j, shape, base, c0, c1 in _closed_rows(data, i):
-        if q is not None and c0 + c1 * q == 0:
+        if v.kind not in COUPLING_KINDS:
             continue
-        if q is None and c0 == 0 and c1 == 0:
+        s = drift_slope(data, j)
+        c0 = drift_intercept(data, j, i) - s
+        if (c0 + s * q == 0) if q is not None else (c0 == 0 == s):
             continue
-        e = _affine_q_ast(c0, c1, q)
-        if shape == "pow":
-            if e == num(1):
-                factors.append(_one_minus_ast(base, j))
-            else:
-                factors.append(Pow(_one_minus_ast(base, j), e))
+        b = _base(data, j)
+        if b:
+            e = _affine_q_ast(-c0 / b, -s / b, q)
+            base = _one_minus_ast(b, j)
+            factors.append(base if e == num(1) else Pow(base, e))
         else:
-            arg = Var(j) if e == num(1) else Mul(e, Var(j))
-            factors.append(Exp(arg))
+            e = _affine_q_ast(c0, s, q)
+            factors.append(Exp(Var(j) if e == num(1) else Mul(e, Var(j))))
     return ast_product(factors)
 
 
 def _coupling_ast(data: FundamentalData, coeffs: dict):
-    """Product of coupling factors: (1 - beta_j h_j)^(-c/beta_j) toward
-    damped j (exp(c*h_j) at beta_j = 0), (1 - h_j)^(-c) toward reduced j,
-    exp(c*h_j) toward full j."""
+    """Product of the coupling factors (1 - b_j*h_j)^(-c_j/b_j), read as
+    exp(c_j*h_j) where b_j = 0, for the scalars c_j in coeffs."""
     factors = []
     for j in sorted(coeffs):
         c = coeffs[j]
         if c == 0:
             continue
-        kj = data.kind(j)
-        if kj == DAMPED and data.beta(j) != 0:
-            factors.append(Pow(_one_minus_ast(data.beta(j), j),
-                               num(-c / data.beta(j))))
-        elif kj == REDUCED:
-            factors.append(Pow(_one_minus_ast(1, j), num(-c)))
+        b = _base(data, j)
+        if b:
+            factors.append(Pow(_one_minus_ast(b, j), num(-c / b)))
         else:
             factors.append(Exp(Var(j) if c == 1 else Mul(num(c), Var(j))))
     return ast_product(factors)
 
 
+def _level_one_parts(data: FundamentalData, i: int):
+    """Coupling scalars and linear terms of a shifted (nu != 0) or relay
+    equation, whose degree-1 series is (1/nu) * (coupling product)
+    + (linear terms) + 1 - 1/nu."""
+    v = data._by[i]
+    if v.kind == SHIFTED:
+        return {j: v.nu * c for j, c in v.a.items()}, {}
+    shared = _relay_coupling(data, i)
+    return ({j: shared.get(j, Fraction(0)) - drift_slope(data, j)
+             for j in data._by if data.kind(j) in COUPLING_KINDS}, v.a)
+
+
 def _level_one_ast(data: FundamentalData, i: int):
     """Degree-1 series of a shifted or relay equation."""
     v = data._by[i]
-    if v.kind == SHIFTED:
-        if v.nu == 0:
-            terms = [num(1)]
-            for j in sorted(v.a):
-                c = v.a[j]
-                kj = data.kind(j)
-                if kj == DAMPED and data.beta(j) != 0:
-                    terms.append(Mul(num(-c / data.beta(j)),
-                                     Log(_one_minus_ast(data.beta(j), j))))
-                elif kj == REDUCED:
-                    terms.append(Mul(num(-c), Log(_one_minus_ast(1, j))))
-                else:
-                    terms.append(Mul(num(c), Var(j)))
-            return ast_sum(terms)
-        coeffs = {j: v.nu * c for j, c in v.a.items()}
-        head = Mul(num(1 / v.nu), _coupling_ast(data, coeffs))
-        return Add(head, num(1 - 1 / v.nu))
-    # relay
-    shared = _relay_coupling(data, i)
-    coeffs = {j: shared.get(j, Fraction(0)) - _offset(data, j)
-              for j in data._by
-              if data.kind(j) in COUPLING_KINDS}
+    if v.kind == SHIFTED and v.nu == 0:
+        # the logarithms of the coupling factors
+        terms = [num(1)]
+        for j in sorted(v.a):
+            c, b = v.a[j], _base(data, j)
+            terms.append(Mul(num(-c / b), Log(_one_minus_ast(b, j))) if b
+                         else Mul(num(c), Var(j)))
+        return ast_sum(terms)
+    coeffs, linear = _level_one_parts(data, i)
     terms = [Mul(num(1 / v.nu), _coupling_ast(data, coeffs))]
-    for l in sorted(v.a):
-        terms.append(Mul(num(v.a[l]), Var(l)))
+    for l in sorted(linear):
+        terms.append(Mul(num(linear[l]), Var(l)))
     if v.nu != 1:
         terms.append(num(1 - 1 / v.nu))
     return ast_sum(terms)
@@ -689,19 +669,13 @@ def shared_product_series(data: FundamentalData, trunc: int) -> TruncatedSeries:
 
 
 def _coupling_series(data: FundamentalData, coeffs: dict, trunc: int):
+    """The product of _coupling_ast, built from rising-factorial factors."""
     n = data.nvars
     out = TruncatedSeries.const(n, trunc, 1)
     for j in sorted(coeffs):
         c = coeffs[j]
-        if c == 0:
-            continue
-        kj = data.kind(j)
-        if kj == DAMPED and data.beta(j) != 0:
-            out = out * geometric_family(data.beta(j) / c, n, j, c, trunc)
-        elif kj == REDUCED:
-            out = out * geometric_family(1 / c, n, j, c, trunc)
-        else:
-            out = out * geometric_family(0, n, j, c, trunc)
+        if c:
+            out = out * geometric_family(_base(data, j) / c, n, j, c, trunc)
     return out
 
 
@@ -710,7 +684,7 @@ def item_series(data: FundamentalData, i: int, trunc: int) -> TruncatedSeries:
     n = data.nvars
     kind = data.kind(i)
     one = TruncatedSeries.const(n, trunc, 1)
-    if kind in (DAMPED, REDUCED, FULL):
+    if kind in COUPLING_KINDS:
         out = one
         for j in data.of_kind(DAMPED):
             if kind == DAMPED and j == i:
@@ -723,41 +697,22 @@ def item_series(data: FundamentalData, i: int, trunc: int) -> TruncatedSeries:
         return out
     if kind == SCALED:
         return _coupling_series(data, data.coupling(i), trunc)
-    if kind == SHIFTED:
-        nu = data.nu(i)
-        a = data.coupling(i)
-        if nu == 0:
-            out = one
-            for j in sorted(a):
-                c = a[j]
-                kj = data.kind(j)
-                if kj == DAMPED and data.beta(j) != 0:
-                    base = one - TruncatedSeries.const(n, trunc, data.beta(j)) \
-                        * TruncatedSeries.var(n, trunc, j)
-                    out = out + TruncatedSeries.const(n, trunc, -c / data.beta(j)) * base.log()
-                elif kj == REDUCED:
-                    base = one - TruncatedSeries.var(n, trunc, j)
-                    out = out + TruncatedSeries.const(n, trunc, -c) * base.log()
-                else:
-                    out = out + TruncatedSeries.const(n, trunc, c) \
-                        * TruncatedSeries.var(n, trunc, j)
-            return out
-        scaled = _coupling_series(data, {j: nu * c for j, c in a.items()}, trunc)
-        return (TruncatedSeries.const(n, trunc, 1 / nu) * scaled
-                + TruncatedSeries.const(n, trunc, 1 - 1 / nu))
-    if kind == RELAY:
-        nu = data.nu(i)
-        shared = _relay_coupling(data, i)
-        coeffs = {j: shared.get(j, Fraction(0)) - _offset(data, j)
-                  for j in data._by if data.kind(j) in COUPLING_KINDS}
-        out = TruncatedSeries.const(n, trunc, 1 / nu) \
-            * _coupling_series(data, coeffs, trunc)
-        for l, c in sorted(data.coupling(i).items()):
-            out = out + TruncatedSeries.const(n, trunc, c) \
-                * TruncatedSeries.var(n, trunc, l)
-        return out + TruncatedSeries.const(n, trunc, 1 - 1 / nu)
-    # extension
-    return expr_series(_affine_ast(data, i), n, trunc)
+    if kind == EXTENSION:
+        return expr_series(_affine_ast(data, i), n, trunc)
+    nu = data.nu(i)
+    if kind == SHIFTED and nu == 0:
+        out = one
+        for j, c in sorted(data.coupling(i).items()):
+            h, b = TruncatedSeries.var(n, trunc, j), _base(data, j)
+            out = out + ((one - h.scale(b)).log().scale(-c / b) if b
+                         else h.scale(c))
+        return out
+    coeffs, linear = _level_one_parts(data, i)
+    out = _coupling_series(data, coeffs, trunc).scale(1 / nu) \
+        + one.scale(1 - 1 / nu)
+    for l, c in sorted(linear.items()):
+        out = out + TruncatedSeries.var(n, trunc, l).scale(c)
+    return out
 
 
 # ------------------------------------------------------------ verification

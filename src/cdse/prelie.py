@@ -12,6 +12,7 @@ sum and a structural recursion; the test suite plays them against each other.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -44,19 +45,32 @@ def _attach(base: Forest, assignment) -> Forest:
     """Rebuild base with assignment[v] grafted below vertex v.
 
     Vertices are numbered in preorder: tree by tree, root before children,
-    children in stored order.
+    children in stored order, so the subtree rooted at vertex r spans the
+    numbers [r, r + vertices).  Only the paths down to assigned vertices are
+    rebuilt, with an explicit stack, so deep ladders need no recursion; a
+    subtree holding no assigned vertex is reused, as trees are interned.
     """
-    counter = itertools.count()
-    return Forest(tuple(_rebuild(t, assignment, counter) for t in base.trees))
-
-
-def _rebuild(t: Tree, assignment, counter) -> Tree:
-    # a module-level function rather than a closure that calls itself, so no
-    # reference cycle keeps the grafted trees alive after _attach returns
-    idx = next(counter)
-    kids = [_rebuild(c, assignment, counter) for c in t.children]
-    kids.extend(assignment.get(idx, ()))
-    return Tree(t.decoration, kids)
+    marks = sorted(assignment)
+    # frames: [children, decoration, vertex number, rebuilt children, number
+    # of the next child]; the bottom frame stands for the forest itself
+    stack = [[base.trees, None, None, [], 0]]
+    while True:
+        frame = stack[-1]
+        children, dec, r, kids, nxt = frame
+        if len(kids) < len(children):
+            c = children[len(kids)]
+            frame[4] = end = nxt + c.vertices
+            k = bisect.bisect_left(marks, nxt)
+            if k < len(marks) and marks[k] < end:
+                stack.append([c.children, c.decoration, nxt, [], nxt + 1])
+            else:
+                kids.append(c)
+            continue
+        stack.pop()
+        if not stack:
+            return Forest(kids)
+        kids.extend(assignment.get(r, ()))
+        stack[-1][3].append(Tree(dec, kids))
 
 
 def _vertex_count(f: Forest) -> int:

@@ -128,11 +128,6 @@ class TruncatedSeries:
             for r, cr in other.coeffs.items()
             if sum(p) + sum(r) <= trunc)))
 
-    def restrict(self, trunc: int) -> "TruncatedSeries":
-        if trunc > self.trunc:
-            raise EvaluationError("cannot extend a truncated series")
-        return TruncatedSeries(self.nvars, trunc, self.coeffs)
-
     def pow_int(self, n: int) -> "TruncatedSeries":
         if n < 0:
             return self.pow_rational(Fraction(n))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
 
 from . import linalg
 from .hopf import coproduct, graft_operator
@@ -229,13 +228,6 @@ class Solution:
 
     def coefficient(self, t: Tree) -> Fraction:
         return self.component(t.decoration.eq, t.degree).coeff(single(t))
-
-    def up_to(self, i: int, bound: Optional[int] = None) -> ForestSum:
-        bound = self.order if bound is None else bound
-        out = ForestSum.zero()
-        for n in range(1, bound + 1):
-            out.add_scaled(self.component(i, n))
-        return out
 
     def generators(self):
         """Nonzero components, as ((i, n), ForestSum), ordered."""

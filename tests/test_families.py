@@ -133,6 +133,44 @@ def test_mixed_kinds_certify():
     assert check_hopf(S, 4).is_hopf
 
 
+# partners for one damped equation: each reads its coupling factor, whose
+# branches split at beta = 0 (an exp factor) and beta = -1 (the unit factor)
+PARTNERS = {
+    "full": lambda: [Vertex(2, "full", degrees=(1,))],
+    # couplings toward a full equation: its exp factor with a nonzero scalar
+    "full-coupled": lambda: [
+        Vertex(2, "full", degrees=(1,)),
+        Vertex(3, "scaled", a={1: F(1, 2), 2: F(2)}, degrees=(1,)),
+        Vertex(4, "shifted", nu=F(2), a={2: F(1)}, degrees=(1, 2)),
+    ],
+    "reduced-family": lambda: [Vertex(2, "reduced", degrees=(1,),
+                                      all_from=2)],
+    "scaled": lambda: [Vertex(2, "scaled", a={1: F(1, 2)}, degrees=(1,))],
+    "shifted-nu0": lambda: [Vertex(2, "shifted", nu=F(0), a={1: F(1)},
+                                   degrees=(1, 2))],
+    "shifted-nu2": lambda: [Vertex(2, "shifted", nu=F(2), a={1: F(1)},
+                                   degrees=(1, 2))],
+    "relay-extension": lambda: [
+        Vertex(2, "scaled", a={1: F(1, 2)}, degrees=(1,)),
+        Vertex(3, "relay", nu=F(3), a={2: F(1)}, degrees=(1, 2)),
+        Vertex(4, "extension", a={3: F(1)}, degrees=(1, 2, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("partner", sorted(PARTNERS))
+@pytest.mark.parametrize("beta", [F(-1), F(0), F(-1, 3), F(1), F(2)],
+                         ids=str)
+def test_damped_beta_grid_certifies(beta, partner):
+    data = FundamentalData([Vertex(1, "damped", beta=beta, degrees=(1, 2))]
+                           + PARTNERS[partner]())
+    S = build_fundamental(data)
+    rep = check_closed_forms(S, data, 5)
+    assert rep.ok, rep.failures
+    assert rep.q_independent
+    assert check_hopf(S, 4).is_hopf
+
+
 def test_shifted_log_item():
     data = FundamentalData([
         Vertex(1, "damped", beta=F(1), degrees=(1,)),

@@ -32,6 +32,7 @@ from cdse import (
     leaf,
     pairing,
     reachable_degrees,
+    single,
     star,
     tensor_pairing,
     tree_weight,
@@ -572,6 +573,17 @@ def test_deep_ladder_weight_stays_clear_of_the_recursion_limit():
     assert tree_weight(F(2), F(1), t) == 1
     assert tree_weight(F(3), F(1), t) == 2 ** 1499
     assert tree_weight(F(1), F(1), t) == 0
+
+
+def test_products_on_a_deep_ladder_stay_clear_of_the_recursion_limit():
+    n = 600
+    t = ladder(*[A] * n)
+    got = graft(leaf(1), t)
+    assert len(got.terms) == n and set(got.terms.values()) == {1}
+    assert single(ladder(*[A] * (n + 1))) in got.terms
+    assert single(Tree(A, (t.children[0], leaf(1)))) in got.terms
+    assert circ(leaf(1), t) == got
+    assert star(leaf(1), t) == got + ForestSum.term(Forest((leaf(1), t)))
 
 
 def _vertex_factors(lam, mu, t):

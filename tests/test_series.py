@@ -57,14 +57,6 @@ def test_equality_ignores_the_truncation_bound():
     assert h(trunc=4) == h(trunc=9)
 
 
-def test_restrict():
-    f = (sconst(1) + h()).pow_int(3)
-    g = f.restrict(2)
-    assert g.coeff(2) == 3 and g.coeff(3) == 0
-    with pytest.raises(EvaluationError):
-        g.restrict(4)
-
-
 def test_multivariate_coeffs():
     x = S.var(2, 4, 1)
     y = S.var(2, 4, 2)
@@ -233,7 +225,7 @@ def test_parse_precedence():
 
 def test_parse_functions_and_params():
     e = parse_expr("exp(q*h1)")
-    assert expr_series(e, 1, 3, q=2) == h().scale(2).restrict(3).exp()
+    assert expr_series(e, 1, 3, q=2) == h(trunc=3).scale(2).exp()
     e2 = parse_expr("(1 - h1)^(-q)")
     assert expr_series(e2, 1, 4, q=1) == geometric_family(1, 1, 1, 1, 4)
 
