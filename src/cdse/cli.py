@@ -95,9 +95,8 @@ def _cmd_check_hopf(args):
         for fail in rep.failures:
             lines.append(f"failure eq {fail.eq} degree {fail.degree} "
                          f"left {fail.left_degree} pairing {fail.pairing}")
-            for (a, b) in sorted(fail.witness, key=lambda fg: (fg[0].key,
-                                                               fg[1].key)):
-                lines.append(f"witness {fail.witness[(a, b)]} | "
+            for (a, b), x in fail.witness.items():
+                lines.append(f"witness {x} | "
                              f"{forest_text(a)} | {forest_text(b)}")
     else:
         if rep.is_hopf:
@@ -108,9 +107,8 @@ def _cmd_check_hopf(args):
                          f"slices escaped (order {rep.order})")
             for fail in rep.failures:
                 lines.append("  " + fail.describe())
-                for (a, b) in sorted(fail.witness, key=lambda fg: (fg[0].key,
-                                                                   fg[1].key)):
-                    lines.append(f"    witness term {fail.witness[(a, b)]} * "
+                for (a, b), x in fail.witness.items():
+                    lines.append(f"    witness term {x} * "
                                  f"{forest_text(a)} (x) {forest_text(b)}")
     _emit(lines, args.output)
     return 0 if rep.is_hopf else 1

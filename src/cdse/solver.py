@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .hopf import coproduct, graft_operator
@@ -386,7 +387,9 @@ class HopfFailure(Record):
     eq: int
     degree: int
     left_degree: int
-    witness: dict          # (Forest, Forest) -> Fraction, the functional
+    # (Forest, Forest) -> Fraction, the functional, in ascending key order:
+    # the one left forest F, then psi's forests in the order separate lists
+    witness: dict
     pairing: Fraction      # witness applied to the offending component
 
     def describe(self) -> str:
@@ -424,7 +427,8 @@ class _Span:
         A forest outside the span's support is its own phi.  Otherwise
         reducing vec by the echelon rows leaves t with no entry at a pivot;
         its first nonzero entry c gives phi = e_c - sum_r R_r[c] e_(pivot r),
-        and phi(vec) = t_c.
+        and phi(vec) = t_c.  phi lists its forests in ascending order: the
+        pivots in echelon order, each before c, since R_r[c] != 0, then c.
         """
         outside = [f for f in vec if f not in self.index]
         if outside:
@@ -476,13 +480,7 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
     against slice and span).
     """
     sol = solve(S, N)
-    spans = {}
-
-    def span(d):
-        if d not in spans:
-            spans[d] = _Span([u for _, u in component_monomials(sol, d)])
-        return spans[d]
-
+    span = cache(lambda d: _Span([u for _, u in component_monomials(sol, d)]))
     slices = _slices(sol)
     checks = 0
     failures = []

@@ -4,31 +4,19 @@ These are the suites behind `cdse prelie-verify` and `cdse selftest`; the
 tests call the same checks over pools of their own.  A check takes a pool,
 an iterable of argument tuples, and returns an Outcome: how many checks ran
 and which ones failed.  A check may share work across its pool, and it
-still gives one verdict per item:
-
-- pre_lie_identity holds circ(F, G) once per distinct basis pair in a dict
-  scoped to the call, for any pool order;
-- composition_coproduct_duality holds star(F, G) the same way, and
-  symmetry(H) and Delta H once per distinct H.  It reads an absent
-  coefficient as the int 0, so the many triples that are 0 on both sides
-  cost no Fraction;
-- tree_to_word_morphism holds, for each (lam, mu), fdb_image of each basis
-  forest, tree_weight of each tree and fdb_circ of each basis word pair
-  once, for any pool order, and circ(F, G) for the last pair only: each
-  pair once on the command's pool, which is pair-major (the word
-  parameters vary fastest);
-- the comultiplication checks hold forest_coproduct once per distinct
-  forest.
-
-A holder for the last item only is still correct on any order; it just
-recomputes more.  SUITES[command](N, seed) lists a command's
-(name, check, pool) triples in report order.
+still gives one verdict per item: a value it reuses is held by
+functools.cache on a function defined inside the call, so it is computed
+once per distinct argument on any pool order and dropped when the call
+returns.  The one exception is tree_to_word_morphism's circ(F, G), held
+for the last pair only (the command's pool is pair-major).
+SUITES[command](N, seed) lists a command's (name, check, pool) triples in
+report order.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from functools import partial, wraps
+from functools import cache, partial, wraps
 from typing import NamedTuple
 
 from .hopf import coproduct, forest_coproduct, graft_operator
@@ -64,21 +52,11 @@ def _each(holds):
 def pre_lie_identity(pool) -> Outcome:
     """Trees a, b, c: the associator of circ is symmetric in a and b.
 
-    Every circ is expanded bilinearly over basis pairs of forests, and a
-    dict scoped to the call holds circ(F, G) once per distinct basis pair
-    (F, G) of the pool; each triple is still one check.
+    Every circ is expanded bilinearly over basis pairs of forests, each
+    computed once per call; each triple is still one check.
     """
-    shared = {}
-
-    def basis_circ(F, G):
-        got = shared.get((F, G))
-        if got is None:
-            got = shared[F, G] = circ(ForestSum.term(F), ForestSum.term(G))
-        return got
-
-    def product(x, y):
-        return _bilinear(basis_circ, x, y)
-
+    product = partial(_bilinear, cache(lambda F, G: circ(ForestSum.term(F),
+                                                         ForestSum.term(G))))
     checks, failures = 0, []
     for a, b, c in pool:
         checks += 1
@@ -101,55 +79,41 @@ def composition_coproduct_duality(pool) -> Outcome:
 
     Both pairings are read off one coefficient each: symmetry(H) times the
     coefficient of H in F star G, against symmetry(F) symmetry(G) times the
-    coefficient of F (x) G in Delta H.  A dict scoped to the call holds
-    star(F, G) and symmetry(F) symmetry(G) once per distinct (F, G) of the
-    pool, shared by every H, and symmetry(H) and Delta H once per distinct
-    H; each triple is still one check.
+    coefficient of F (x) G in Delta H.  Each (F, G) side and each H side is
+    computed once per call; each triple is still one check.
     """
-    shared = {}
+    star_side = cache(lambda F, G: (
+        star(ForestSum.term(F), ForestSum.term(G)).terms,
+        forest_symmetry(F) * forest_symmetry(G)))
+    coproduct_side = cache(lambda H: (forest_symmetry(H),
+                                      forest_coproduct(H).terms))
     checks, failures = 0, []
     for F, G, H in pool:
         checks += 1
-        got = shared.get((F, G))
-        if got is None:
-            got = shared[F, G] = (star(ForestSum.term(F), ForestSum.term(G)),
-                                  forest_symmetry(F) * forest_symmetry(G))
-        product, symmetry = got
-        got = shared.get(H)
-        if got is None:
-            got = shared[H] = (forest_symmetry(H), forest_coproduct(H))
-        h_symmetry, delta = got
+        product, symmetry = star_side(F, G)
+        h_symmetry, delta = coproduct_side(H)
         # an absent key reads as the int 0: most triples are 0 against 0
-        if (h_symmetry * product.terms.get(H, 0)
-                != symmetry * delta.terms.get((F, G), 0)):
+        if h_symmetry * product.get(H, 0) != symmetry * delta.get((F, G), 0):
             failures.append((F, G, H))
     return Outcome(checks, failures)
 
 
 def _word_side(lam, mu):
-    """fdb_image at one (lam, mu), extended linearly over a dict that holds
-    each basis forest's image once, and fdb_circ on basis word pairs, held
-    the same way.  The images share one dict of tree weights."""
-    images, products, weights = {}, {}, {}
+    """fdb_image at one (lam, mu), extended linearly over the image of each
+    basis forest, and fdb_circ on basis word pairs, each computed once.
+    The images share one dict of tree weights."""
+    weights = {}
+    basis_image = cache(lambda H: fdb_image(lam, mu, ForestSum.term(H),
+                                            weights=weights))
 
     def image(x):
         out = WordSum()
         for H, c in x.terms.items():
-            got = images.get(H)
-            if got is None:
-                got = images[H] = fdb_image(lam, mu, ForestSum.term(H),
-                                            weights=weights)
-            out.add_scaled(got, c)
+            out.add_scaled(basis_image(H), c)
         return out
 
-    def basis_circ(w, v):
-        got = products.get((w, v))
-        if got is None:
-            got = products[w, v] = fdb_circ(lam, mu, WordSum.term(w),
-                                            WordSum.term(v))
-        return got
-
-    return image, basis_circ
+    return image, cache(lambda w, v: fdb_circ(lam, mu, WordSum.term(w),
+                                              WordSum.term(v)))
 
 
 def tree_to_word_morphism(pool) -> Outcome:
@@ -157,12 +121,12 @@ def tree_to_word_morphism(pool) -> Outcome:
     of the images.
 
     fdb_image is linear and fdb_circ bilinear, so both sides are expanded
-    over basis elements: for each (lam, mu), dicts scoped to the call hold
-    fdb_image of each basis forest, the weight of each tree and fdb_circ of
-    each basis word pair once, shared by every item.  circ(F, G) is held
-    for the last (F, G) only.  Each item is still one check.
+    over basis elements, each computed once per (lam, mu) and shared by
+    every item.  circ(F, G) is held for the last (F, G) only: the pool is
+    pair-major, and holding every product would raise peak memory.  Each
+    item is still one check.
     """
-    sides = {}
+    sides = cache(_word_side)
     last = None
     checks, failures = 0, []
     for lam, mu, F, G in pool:
@@ -170,10 +134,7 @@ def tree_to_word_morphism(pool) -> Outcome:
         x, y = ForestSum.term(F), ForestSum.term(G)
         if (F, G) != last:
             last, product = (F, G), circ(x, y)
-        side = sides.get((lam, mu))
-        if side is None:
-            side = sides[lam, mu] = _word_side(lam, mu)
-        image, basis_circ = side
+        image, basis_circ = sides(lam, mu)
         if image(product) != _bilinear(basis_circ, image(x), image(y)):
             failures.append((lam, mu, F, G))
     return Outcome(checks, failures)
@@ -195,18 +156,11 @@ def weighted_solution_two_routes(lam, mu, J, n):
 # ---------------------------------------------------------- comultiplication
 
 def _each_with_coproduct(holds):
-    """_each for holds(delta, *item), delta(f) being forest_coproduct(f)
-    held once per forest in a dict scoped to the check."""
+    """_each for holds(delta, *item), delta being forest_coproduct computed
+    once per forest of the check's pool."""
     @wraps(holds)
     def check(pool) -> Outcome:
-        held = {}
-
-        def delta(f):
-            if f not in held:
-                held[f] = forest_coproduct(f)
-            return held[f]
-
-        return _each(partial(holds, delta))(pool)
+        return _each(partial(holds, cache(forest_coproduct)))(pool)
     return check
 
 

@@ -272,7 +272,8 @@ def test_selftest_fails_on_a_broken_coproduct(capsys, monkeypatch):
                for line in lines)
 
 
-def test_selftest_leaves_no_tree_alive(capsys):
+@pytest.mark.parametrize("command", ["selftest", "prelie-verify"])
+def test_selftest_leaves_no_tree_alive(capsys, command):
     # every memo is scoped to the call that fills it, so the trees the
     # suites build die with them even while the cyclic collector is off
     def live():
@@ -282,7 +283,7 @@ def test_selftest_leaves_no_tree_alive(capsys):
     gc.disable()
     try:
         before = live()
-        assert run(capsys, "selftest", "-N", "3")[0] == 0
+        assert run(capsys, command, "-N", "3")[0] == 0
         assert live() == before
     finally:
         gc.enable()

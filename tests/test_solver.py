@@ -570,6 +570,20 @@ def test_row_side_certificate():
     assert_certified(rep)
 
 
+@pytest.mark.parametrize("name", NOT_HOPF_SYSTEMS)
+def test_witness_keys_come_in_key_order(name):
+    """check-hopf prints each witness in dict order, so check_hopf must
+    build it in ascending (left key, right key) order."""
+    failures = [fail for N in (5, 6, 7)
+                for fail in check_hopf(sq(NOT_HOPF_SYSTEMS[name]), N).failures]
+    assert failures
+    for fail in failures:
+        keys = [(f.key, g.key) for f, g in fail.witness]
+        assert keys == sorted(keys)
+    # a row reduced against the span, not only a forest outside its support
+    assert max(len(fail.witness) for fail in failures) > 1
+
+
 def test_span_separation():
     """separate returns None inside the span, else a functional that kills
     it; phi is read off the echelon rows."""

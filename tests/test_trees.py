@@ -3,15 +3,18 @@ format."""
 
 import copy
 import gc
+import importlib
 import itertools
 import math
 import pickle
+import pkgutil
 import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdse
 from cdse import (
     Decoration,
     Forest,
@@ -177,6 +180,22 @@ def test_a_tree_referenced_nowhere_leaves_the_table():
     # built again, it is a new object of the same shape
     again = Tree(dec, reversed(kids))
     assert again.children == kids and trees_module._TREES[dec][kids]() is again
+
+
+def test_no_module_level_cache():
+    """A functools cache lives inside the call that makes it: one on a
+    module-level function or method would keep its trees alive."""
+    held = []
+    for info in pkgutil.iter_modules(cdse.__path__, "cdse."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            found = [(name, obj)]
+            if isinstance(obj, type):
+                found += [(f"{name}.{attr}", getattr(x, "__func__", x))
+                          for attr, x in vars(obj).items()]
+            held += [f"{info.name}.{what}" for what, x in found
+                     if hasattr(x, "cache_info")]
+    assert held == []
 
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy"] + [
