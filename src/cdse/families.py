@@ -60,8 +60,8 @@ from .record import FrozenRecord, Record, fresh
 from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
-from .solver import (SDSE, INCONSISTENT, SystemFormatError, check_hopf,
-                     extract_lambda, rescale_variable, solve)
+from .solver import (SDSE, INCONSISTENT, SystemFormatError, _exprs_equal,
+                     check_hopf, extract_lambda, rescale_variable, solve)
 from .trees import Decoration, ladder, single
 
 
@@ -408,9 +408,9 @@ class FundamentalData:
             if v.kind != EXTENSION:
                 continue
             deps = sorted(v.a)
-            ref = expr_series(op_ast(self, deps[0], 1), self.nvars, 8)
+            ref = op_ast(self, deps[0], 1)
             for j in deps[1:]:
-                if expr_series(op_ast(self, j, 1), self.nvars, 8) != ref:
+                if not _exprs_equal(ref, op_ast(self, j, 1), self.nvars):
                     raise SystemFormatError(
                         f"vertex {v.index}: dependencies {deps[0]} and {j} "
                         f"carry different series")

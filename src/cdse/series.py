@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .linear import ForestSum, _accumulate
+from .linear import ForestSum, LinComb, _accumulate
 from .record import FrozenRecord
 from .trees import EMPTY_FOREST
 
@@ -27,10 +27,11 @@ class ParseError(ValueError):
     pass
 
 
-class TruncatedSeries:
-    """Power series in nvars variables, kept to total degree <= trunc."""
+class TruncatedSeries(LinComb):
+    """Power series in nvars variables, kept to total degree <= trunc: a
+    linear combination of exponent tuples."""
 
-    __slots__ = ("nvars", "trunc", "coeffs")
+    __slots__ = ("nvars", "trunc")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
         if isinstance(coeffs, dict):
@@ -39,12 +40,11 @@ class TruncatedSeries:
         for p, c in coeffs or ():
             if len(p) != nvars:
                 raise EvaluationError(f"exponent {p} has wrong arity")
-            c = Fraction(c)
             if sum(p) <= trunc:
                 pairs.append((p, c))
+        super().__init__(pairs)
         self.nvars = nvars
         self.trunc = trunc
-        self.coeffs = _accumulate({}, pairs)
 
     # ------------------------------------------------------------ builders
 
@@ -71,34 +71,31 @@ class TruncatedSeries:
             if self.nvars != 1:
                 raise EvaluationError("integer exponent only for one variable")
             p = (p,)
-        return self.coeffs.get(tuple(p), Fraction(0))
+        return super().coeff(tuple(p))
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return super().coeff((0,) * self.nvars)
 
     def __eq__(self, other):
         # truncation bounds are bookkeeping, not data: equal maps, equal series
         return (isinstance(other, TruncatedSeries)
                 and self.nvars == other.nvars
-                and self.coeffs == other.coeffs)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "<series 0>"
-        bits = [f"{c}*h^{p}" for p, c in sorted(self.coeffs.items())]
+        bits = [f"{c}*h^{p}" for p, c in sorted(self.terms.items())]
         return "<series " + " + ".join(bits) + f" +O({self.trunc + 1})>"
 
     # ---------------------------------------------------------- arithmetic
 
-    def _like(self, coeffs: dict) -> "TruncatedSeries":
+    def _like(self, terms: dict) -> "TruncatedSeries":
         res = TruncatedSeries.__new__(TruncatedSeries)
-        res.nvars, res.trunc, res.coeffs = self.nvars, self.trunc, coeffs
+        res.terms, res.nvars, res.trunc = terms, self.nvars, self.trunc
         return res
 
     def _compatible(self, other):
@@ -107,25 +104,15 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._compatible(other)
-        return self._like(_accumulate(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._like({p: v * c for p, v in self.coeffs.items()} if c else {})
+        return super().__add__(other)
 
     def __mul__(self, other):
         self._compatible(other)
         trunc = self.trunc
         return self._like(_accumulate({}, (
             (tuple(a + b for a, b in zip(p, r)), cp * cr)
-            for p, cp in self.coeffs.items()
-            for r, cr in other.coeffs.items()
+            for p, cp in self.terms.items()
+            for r, cr in other.terms.items()
             if sum(p) + sum(r) <= trunc)))
 
     def pow_int(self, n: int) -> "TruncatedSeries":
@@ -141,20 +128,6 @@ class TruncatedSeries:
                 base = base * base
         return out
 
-    def _binomial(self, u: "TruncatedSeries", r: Fraction) -> "TruncatedSeries":
-        # u has zero constant term, so u^k starts in degree k
-        out = TruncatedSeries.const(self.nvars, self.trunc, 1)
-        power = out
-        coeff = Fraction(1)
-        for k in range(1, self.trunc + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            coeff *= Fraction(r - (k - 1), k)
-            if coeff:
-                out = out + power.scale(coeff)
-        return out
-
     def pow_rational(self, r) -> "TruncatedSeries":
         r = Fraction(r)
         c = self.constant_term()
@@ -162,40 +135,49 @@ class TruncatedSeries:
         if c == 1:
             # binomial route even for integer r, so pow_int stays an
             # independent cross-check
-            return self._binomial(self - one, r)
+            return _binomial(self - one, r)
         if r.denominator == 1:
             if r >= 0:
                 return self.pow_int(r.numerator)
             if c == 0:
                 raise EvaluationError("negative power needs a nonzero constant term")
             u = self.scale(Fraction(1, 1) / c) - one
-            return self._binomial(u, r).scale(c ** r.numerator)
+            return _binomial(u, r).scale(c ** r.numerator)
         raise EvaluationError("fractional power needs constant term 1")
 
     def exp(self) -> "TruncatedSeries":
         if self.constant_term() != 0:
             raise EvaluationError("exp needs zero constant term")
-        out = TruncatedSeries.const(self.nvars, self.trunc, 1)
-        power = out
-        for k in range(1, self.trunc + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction(1, math.factorial(k)))
-        return out
+        return _compose(self, 1, lambda c, k: c / k)
 
     def log(self) -> "TruncatedSeries":
         if self.constant_term() != 1:
             raise EvaluationError("log needs constant term 1")
         u = self - TruncatedSeries.const(self.nvars, self.trunc, 1)
-        out = TruncatedSeries.zero(self.nvars, self.trunc)
-        power = TruncatedSeries.const(self.nvars, self.trunc, 1)
-        for k in range(1, self.trunc + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        return out
+        return _compose(u, 0, lambda c, k: Fraction((-1) ** (k + 1), k))
+
+
+def _compose(u: TruncatedSeries, first, step) -> TruncatedSeries:
+    """sum_k c_k u^k with c_0 = first and c_k = step(c_(k-1), k), up to the
+    first power of u that vanishes.  u has zero constant term, so u^k starts
+    in degree k."""
+    out = TruncatedSeries.const(u.nvars, u.trunc, first)
+    power = TruncatedSeries.const(u.nvars, u.trunc, 1)
+    c = Fraction(first)
+    for k in range(1, u.trunc + 1):
+        power = power * u
+        if not power:
+            break
+        c = step(c, k)
+        if c:
+            out = out + power.scale(c)
+    return out
+
+
+def _binomial(u: TruncatedSeries, r: Fraction) -> TruncatedSeries:
+    """(1 + u)^r for u with zero constant term."""
+    return _compose(u, 1, lambda c, k: c * Fraction(r - (k - 1), k))
+
 
 def substitute(f: TruncatedSeries, args, bound: int) -> ForestSum:
     """Evaluate f at forest-valued arguments, truncated to tree degree <= bound.
@@ -224,7 +206,7 @@ def substitute(f: TruncatedSeries, args, bound: int) -> ForestSum:
         return cache[e]
 
     out = ForestSum.zero()
-    for p, c in f.coeffs.items():
+    for p, c in f.terms.items():
         if sum(p) > bound:
             continue
         term = one.scale(c)

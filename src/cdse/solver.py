@@ -180,7 +180,7 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
     ops = {}
     for (i, q), expr in raw.ops.items():
         s = _series_at(expr, raw.nvars, _inspect_depth(expr))
-        if s.is_zero():
+        if not s:
             notes.append(f"dropped zero operator ({i},{q})")
             continue
         c = s.constant_term()
@@ -196,8 +196,8 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
     families = {}
     for i, (q0, template) in raw.families.items():
         sample = range(q0, q0 + INSPECT_DEPTH)
-        if all(_series_at(template, raw.nvars, INSPECT_DEPTH, q).is_zero()
-               for q in sample):
+        if not any(_series_at(template, raw.nvars, INSPECT_DEPTH, q)
+                   for q in sample):
             notes.append(f"dropped zero operator family (eq {i}, q >= {q0})")
             continue
         consts = {q: expr_const(expr_at_zero(template), q) for q in sample}
@@ -302,7 +302,7 @@ def solve(S: SDSE, N: int) -> Solution:
     ops = []
     for i in range(1, S.nvars + 1):
         for q in S.degrees(i, N):
-            support = S.op_series(i, q, N - q).coeffs
+            support = S.op_series(i, q, N - q).terms
             if support:
                 caps = [max(p[j] for p in support) for j in range(S.nvars)]
                 ops.append((Decoration(i, q), support, caps, max(map(sum, support))))

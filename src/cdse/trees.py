@@ -6,8 +6,8 @@ it.  The degree of a tree is the sum of the decoration degrees over its
 vertices, so a single vertex may weigh more than one.
 
 Trees are immutable and canonical by construction: children are stored sorted
-under a total order (degree, root decoration, child keys).  A forest is a
-sorted tuple of trees; the empty forest is the monomial unit.
+under a total order (degree, root decoration, children lexicographically).  A
+forest is a sorted tuple of trees; the empty forest is the monomial unit.
 
 Both are interned: constructing a tree or forest that is alive already
 returns that object, found in a table of weak references that drops an
@@ -82,8 +82,8 @@ class Tree:
         self.children = kids
         self.degree = decoration.degree + sum(c.degree for c in kids)
         self.vertices = 1 + sum(c.vertices for c in kids)
-        # nested tuples compare lexicographically, giving the total order
-        self.key = (self.degree, decoration, tuple(c.key for c in kids))
+        # the (degree, decoration) prefix sorts in C; ties reach __lt__
+        self.key = (self.degree, decoration, kids)
         _file(table, kids, self)
         return self
 
@@ -93,7 +93,21 @@ class Tree:
         return parse_tree, (tree_text(self),)
 
     def __lt__(self, other: "Tree") -> bool:
-        return self.key < other.key
+        # iterative: equal subtrees are one object, so only the first pair
+        # of distinct children can decide a tie
+        a, b = self, other
+        while a is not b:
+            if a.degree != b.degree:
+                return a.degree < b.degree
+            if a.decoration != b.decoration:
+                return a.decoration < b.decoration
+            for x, y in zip(a.children, b.children):
+                if x is not y:
+                    a, b = x, y
+                    break
+            else:
+                return len(a.children) < len(b.children)
+        return False
 
     def __repr__(self) -> str:
         return tree_text(self)
@@ -115,7 +129,7 @@ class Forest:
         self = object.__new__(cls)
         self.trees = ts
         self.degree = sum(t.degree for t in ts)
-        self.key = (self.degree, tuple(t.key for t in ts))
+        self.key = (self.degree, ts)
         _file(_FORESTS, ts, self)
         return self
 

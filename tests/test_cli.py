@@ -350,6 +350,18 @@ def test_deep_ladder_solution_prints(capsys):
     assert last.endswith(")" * N)
 
 
+def test_deep_two_equation_solution_prints(capsys):
+    # two equal-degree trees per degree that differ only at the bottom: the
+    # solver sorts them, so their order must not recurse once per level
+    N = 600
+    code, out, err = run(capsys, "solve", "vars 2\neq 1\n  op 1 : 1 + h1 + h2\n"
+                         "eq 2\n  op 1 : 1\n", "-N", str(N))
+    assert (code, err) == (0, "")
+    top = out.splitlines()[N - 1]
+    assert top.startswith(f"x_1({N}) = 1 * (1.1: (1.1:")
+    assert top.count(" + ") == 1 and top.endswith("(2.1:" + ")" * N)
+
+
 def test_deep_ladder_lambda_table_prints(capsys):
     # a 1000-level ladder: its leaf-cut tables are built without recursion
     N = 1000

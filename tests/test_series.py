@@ -48,13 +48,22 @@ def test_ring_basics():
 
 def test_truncation_drops_high_degrees():
     x = h(trunc=2)
-    assert (x * x * x).is_zero()
+    assert not x * x * x
     assert ((sconst(1, trunc=2) + x) * (sconst(1, trunc=2) + x)).coeff(2) == 1
 
 
 def test_equality_ignores_the_truncation_bound():
     assert sconst(3, trunc=4) == sconst(3, trunc=9)
     assert h(trunc=4) == h(trunc=9)
+
+
+def test_a_series_never_equals_a_forest_sum():
+    # both are linear combinations, and their zeros have equal (empty) terms
+    zero = S.zero(1, 6)
+    for fs in (ForestSum(), ForestSum.one()):
+        assert fs != zero and zero != fs
+        assert not fs == zero and not zero == fs
+    assert S.zero(1, 6) != S.zero(2, 6)
 
 
 def test_multivariate_coeffs():

@@ -514,6 +514,21 @@ def test_slice_columns_lie_in_the_left_span(name, text, N):
                 assert spans[k].separate(column) is None
 
 
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_monomial_labels_are_independent(name, text, N):
+    """The direct-sum fact: a forest of x^a has tree type a, so monomials
+    with different labels have disjoint supports and the nonzero degree-d
+    monomials are a basis of U_d, as many as their dense rank."""
+    sol = solve(load(text), N)
+    for d in range(1, N + 1):
+        monomials = [u for _, u in component_monomials(sol, d)]
+        coords = list({f for u in monomials for f in u.terms})
+        echelon, _ = dense_rref([[u.coeff(f) for f in coords]
+                                 for u in monomials])
+        assert len(echelon) == len(monomials)
+
+
 def _op_text(nvars, coeffs):
     monomials = ["h1", "h1^2", "h2"][:nvars + 1]
     return " + ".join(["1"] + [f"{c}*{m}" for c, m in zip(coeffs, monomials)

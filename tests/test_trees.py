@@ -223,6 +223,25 @@ def test_deep_ladder_copies_are_the_object_itself(how):
             assert copy.deepcopy(x) is x
 
 
+def _ladders_differing_at_the_leaf(depth):
+    """Two equal-degree ladders of depth levels, equal but for the leaf."""
+    return ladder(*[A] * (depth - 1), A), ladder(*[A] * (depth - 1), B)
+
+
+def test_deep_equal_degree_ladders_compare():
+    # at the default recursion limit: equal subtrees are one object, so the
+    # comparison walks down the one pair of distinct children per level
+    a, b = _ladders_differing_at_the_leaf(2000)
+    assert a < b and not b < a and not a < a
+    assert Forest((b, leaf(1))) > Forest((a, leaf(1)))
+
+
+def test_deep_equal_degree_ladders_build_a_cherry():
+    a, b = _ladders_differing_at_the_leaf(2000)
+    assert Tree((1, 1), [b, a]).children == (a, b)
+    assert Forest((b, a)).trees == (a, b)
+
+
 # ---------------------------------------------------------------- symmetry
 
 def test_symmetry_small_cases():
