@@ -529,6 +529,21 @@ def test_monomial_labels_are_independent(name, text, N):
         assert len(echelon) == len(monomials)
 
 
+# each system of HOPF_CASES once, named without its -N
+ORDER_CASES = {name.split(" -N ")[0].removeprefix("check-hopf "): text
+               for name, text, _ in HOPF_CASES}
+
+
+@pytest.mark.parametrize("text", ORDER_CASES.values(), ids=ORDER_CASES)
+def test_components_come_in_canonical_order(text):
+    """solve lists each component's trees in canonical order, the order the
+    reports print, without sorting them."""
+    sol = solve(load(text), 6)
+    for comp in sol.components.values():
+        forests = list(comp.terms)
+        assert forests == sorted(forests, key=lambda f: f.key)
+
+
 def _op_text(nvars, coeffs):
     monomials = ["h1", "h1^2", "h2"][:nvars + 1]
     return " + ".join(["1"] + [f"{c}*{m}" for c, m in zip(coeffs, monomials)
@@ -536,11 +551,11 @@ def _op_text(nvars, coeffs):
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, coeffs=(-1, 0, 1, 2)):
     """One- and two-equation systems of operators 1 + a*h1 + b*h1^2 (+ c*h2),
-    each equation at degrees 1 and/or 2, coefficients in {-1, 0, 1, 2}."""
+    each equation at degrees 1 and/or 2, coefficients drawn from coeffs."""
     nvars = draw(st.integers(1, 2))
-    coeff = st.sampled_from([-1, 0, 1, 2])
+    coeff = st.sampled_from(coeffs)
     lines = [f"vars {nvars}"]
     for i in range(1, nvars + 1):
         lines.append(f"eq {i}")
@@ -728,6 +743,33 @@ def test_leaf_cut_lambda_matches_coproduct_on_random_systems(text, N):
     S = sq(text, strict=False)
     sol = solve(S, N)
     assert extract_lambda(S, sol, N).entries == lambda_by_coproduct(S, sol, N)
+
+
+# coefficients with denominators 2 and 3, which solve must scale away
+FRACTIONAL = (F(-1, 3), F(1, 2), F(3, 2), -2, 0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(FRACTIONAL), st.integers(1, 4))
+def test_solve_matches_oracle_on_fractional_systems(text, N):
+    S = sq(text, strict=False)
+    sol, oracle = solve(S, N), solve_oracle(S, N)
+    for i in range(1, S.nvars + 1):
+        for n in range(1, N + 1):
+            assert sol.component(i, n) == oracle.component(i, n)
+    assert all(type(c) is Fraction
+               for comp in sol.components.values() for c in comp.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(FRACTIONAL), st.integers(1, 5))
+def test_leaf_cut_lambda_matches_coproduct_on_fractional_systems(text, N):
+    S = sq(text, strict=False)
+    sol = solve(S, N)
+    entries = extract_lambda(S, sol, N).entries
+    assert entries == lambda_by_coproduct(S, sol, N)
+    assert all(type(v) is Fraction
+               for v in entries.values() if not isinstance(v, str))
 
 
 def test_leaf_cut_tables_match_leaf_surgery():
