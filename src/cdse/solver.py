@@ -23,7 +23,7 @@ from functools import cache
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import ONE, ForestSum, _accumulate, tensor
+from .linear import ForestSum, _accumulate, tensor
 from .record import Record
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
@@ -237,29 +237,26 @@ class Solution:
                 if self.components[(i, n)]]
 
 
-def _grafts(support, caps, slots, kept, rest):
-    """Child multisets of total degree rest for one operator.
-
-    Children are drawn from kept (degree -> [(tree, coefficient, eq)], in
-    canonical order) and the exponent vector p of a multiset must lie in
-    support, the nonzero coefficients of the operator's series.  caps[j] is
-    the largest p_j over the support and slots the largest |p|; the search
-    never exceeds them, so its work follows the nonzero solution.
-    Yields (children, p, product of a^mult, product of mult!) over the
-    distinct children, the last an int.
-    """
-    return _graft_search(support, caps, kept, [0] * len(caps), [],
-                         rest, 1, 0, slots, ONE, 1)
-
-
 def _graft_search(support, caps, kept, counts, picked,
-                  rest, low, start, slots, weight, fact):
+                  rest, low, start, slots, num, den, run):
+    """Child multisets of total degree rest for one operator, as
+    (children, num, den), num / den the coefficient of their tree.
+
+    Children come from kept (degree -> [(tree, coefficient, eq)], in
+    canonical order) one at a time, none smaller than the last, so picks
+    follow the canonical tree order and the multisets come out in
+    lexicographic order: the canonical order of their trees.  The exponent
+    vector p must lie in support, the series as ints over the first den;
+    caps[j] bounds p_j and slots |p|, so work follows the nonzero solution.
+    A pick multiplies num and den by the child's numerator and denominator,
+    and den by the run of equal children it extends: a run of mult, by mult!.
+    """
     # a module-level function rather than a closure that calls itself, so no
     # reference cycle keeps kept alive after solve returns
     if rest == 0:
-        p = tuple(counts)
-        if p in support:
-            yield picked, p, weight, fact
+        c = support.get(tuple(counts))
+        if c is not None:
+            yield picked, c * num, den
         return
     if slots == 0:
         return
@@ -272,18 +269,16 @@ def _graft_search(support, caps, kept, counts, picked,
         row = kept.get(e, ())
         for k in range(start if e == low else 0, len(row)):
             t, a, j = row[k]
-            room = min(caps[j] - counts[j], slots, rest // e)
-            power, f = weight, fact
-            for mult in range(1, room + 1):
-                power = power * a
-                f *= mult
-                picked.append(t)
-                counts[j] += 1
-                yield from _graft_search(support, caps, kept, counts, picked,
-                                         rest - mult * e, e, k + 1,
-                                         slots - mult, power, f)
-            del picked[len(picked) - room:]
-            counts[j] -= room
+            if counts[j] == caps[j]:
+                continue
+            more = run + 1 if e == low and k == start and picked else 1
+            picked.append(t)
+            counts[j] += 1
+            yield from _graft_search(support, caps, kept, counts, picked,
+                                     rest - e, e, k, slots - 1, num * a.numerator,
+                                     den * a.denominator * more, more)
+            picked.pop()
+            counts[j] -= 1
 
 
 def solve(S: SDSE, N: int) -> Solution:
@@ -295,7 +290,9 @@ def solve(S: SDSE, N: int) -> Solution:
     prod p_j! / prod mult!, an int because it is a product of multinomials.
     A tree has a nonzero coefficient exactly when its children do and p
     lies in the support of f_iq, so each degree is built only from the
-    nonzero trees of lower degree.
+    nonzero trees of lower degree.  The search multiplies ints, f_iq[p] prod
+    p_j! over D = lcm of f_iq's denominators and the children's numerators
+    and denominators; each tree gets one Fraction here, in canonical order.
     """
     if N < 1:
         raise SystemFormatError("degree bound must be >= 1")
@@ -305,26 +302,26 @@ def solve(S: SDSE, N: int) -> Solution:
             support = S.op_series(i, q, N - q).terms
             if support:
                 caps = [max(p[j] for p in support) for j in range(S.nvars)]
-                ops.append((Decoration(i, q), support, caps, max(map(sum, support))))
+                D = math.lcm(*(c.denominator for c in support.values()))
+                ints = {p: c.numerator * (D // c.denominator)
+                        * math.prod(map(math.factorial, p))
+                        for p, c in support.items()}
+                ops.append((Decoration(i, q), ints, caps,
+                            max(map(sum, support)), D))
     kept = {}
     components = {}
     for n in range(1, N + 1):
         per_eq = {i: [] for i in range(1, S.nvars + 1)}
-        for dec, support, caps, slots in ops:
+        for dec, ints, caps, slots, D in ops:
             if dec.degree > n:
                 continue
-            for kids, p, weight, fact in _grafts(support, caps, slots, kept,
-                                                 n - dec.degree):
-                a = support[p] * weight
-                multinomial = math.prod(map(math.factorial, p)) // fact
-                if multinomial != 1:
-                    a *= multinomial
-                per_eq[dec.eq].append((Tree(dec, kids), a))
-        kept[n] = []
+            grafts = _graft_search(ints, caps, kept, [0] * S.nvars, [],
+                                   n - dec.degree, 1, 0, slots, 1, D, 0)
+            per_eq[dec.eq] += ((Tree(dec, kids), Fraction(num, den))
+                               for kids, num, den in grafts)
+        kept[n] = [(t, a, i - 1) for i, grown in per_eq.items() for t, a in grown]
         for i, grown in per_eq.items():
-            grown.sort(key=lambda ta: ta[0].key)
-            components[(i, n)] = ForestSum((single(t), a) for t, a in grown)
-            kept[n].extend((t, a, i - 1) for t, a in grown)
+            components[(i, n)] = ForestSum._like({single(t): a for t, a in grown})
     return Solution(S, N, components)
 
 
@@ -623,24 +620,27 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     applies rather than a rebuild of the whole path above the leaf.  The
     children of solution trees are lower-degree solution trees, so the
     components are visited by degree; a tree of degree N is a subtree of
-    no tree of degree <= N, and its table is dropped once read.
+    no tree of degree <= N, and its table is dropped once read.  The sums
+    are ints: a cut (d, t) is fed only by x_i(deg t + q), i the root of t,
+    so it sums numerators over L, the lcm of that component's denominators.
+    Ratios are compared as int cross products; an entry is one Fraction.
     """
     tables = {}  # subtree -> its leaf-cut table, for this call only
-    cuts = {}    # (leaf decoration, remaining tree) -> coefficient
+    cuts = {}    # (leaf decoration, remaining tree) -> numerator over lcms
+    lcms = {}    # (i, m) -> lcm of the coefficient denominators of x_i(m)
     for (i, m), comp in sorted(sol.components.items(), key=lambda kv: kv[0][1]):
         if m > N:
             continue
+        L = lcms[(i, m)] = math.lcm(*(a.denominator for a in comp.terms.values()))
         for f, a in comp.terms.items():
             t = f.trees[0]
             table = _fill_tables(tables, (t,), _leaf_cut_table)[t]
             if t.degree >= N:
                 del tables[t]
+            w = a.numerator * (L // a.denominator)
             for key, count in table.items():
-                w = a if count == 1 else a * count
-                acc = cuts.get(key)
-                cuts[key] = w if acc is None else acc + w
+                cuts[key] = cuts.get(key, 0) + w * count
     entries = {}
-    zero = Fraction(0)
     cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
     for i in range(1, S.nvars + 1):
         for (ip, q) in cut_decs:
@@ -650,15 +650,13 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
                 if not support:
                     entries[(i, (ip, q), n)] = VACUOUS
                     continue
-                ratio = None
-                for f, a_t in support.terms.items():
-                    r = cuts.get((dec, f.trees[0]), zero) / a_t
-                    if ratio is None:
-                        ratio = r
-                    elif r != ratio:
-                        ratio = INCONSISTENT
-                        break
-                entries[(i, (ip, q), n)] = ratio
+                # the cut at t over a_t is c / (d * L): one (c, d) per tree
+                ratios = [(cuts.get((dec, f.trees[0]), 0) * a.denominator,
+                           a.numerator) for f, a in support.terms.items()]
+                c0, d0 = ratios[0]
+                entries[(i, (ip, q), n)] = (
+                    Fraction(c0, d0 * lcms.get((i, n + q), 1))
+                    if all(c * d0 == c0 * d for c, d in ratios) else INCONSISTENT)
     return LambdaTable(entries, N)
 
 

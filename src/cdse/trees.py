@@ -66,7 +66,7 @@ class Tree:
                  "__weakref__")
 
     def __new__(cls, decoration, children: Iterable["Tree"] = ()):
-        if not isinstance(decoration, Decoration):
+        if decoration.__class__ is not Decoration:
             decoration = Decoration(*decoration)
         kids = tuple(sorted(children, key=_key))
         table = _TREES.get(decoration)
@@ -77,13 +77,15 @@ class Tree:
             self = entry()
             if self is not None:
                 return self
+        degree, vertices = decoration.degree, 1
+        for c in kids:
+            degree += c.degree
+            vertices += c.vertices
         self = object.__new__(cls)
-        self.decoration = decoration
-        self.children = kids
-        self.degree = decoration.degree + sum(c.degree for c in kids)
-        self.vertices = 1 + sum(c.vertices for c in kids)
+        self.decoration, self.children = decoration, kids
+        self.degree, self.vertices = degree, vertices
         # the (degree, decoration) prefix sorts in C; ties reach __lt__
-        self.key = (self.degree, decoration, kids)
+        self.key = (degree, decoration, kids)
         _file(table, kids, self)
         return self
 
