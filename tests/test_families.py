@@ -7,6 +7,7 @@ import pytest
 import cdse.families
 import cdse.solver
 from cdse import SystemFormatError
+from cdse.cli import main
 from cdse.families import (Case1, Case2, CycleVertex, FundamentalData,
                            QuasiCyclicData, Unclassifiable, Vertex,
                            build_case1, build_case2, build_fundamental,
@@ -421,6 +422,181 @@ vertex 3 kind extension a 2:1 degrees 1,2,3
 
 def test_system_text_round_trip():
     assert parse_system_text(system_text(S_EXT)) == S_EXT
+
+
+FUND = "family fundamental\n"
+QC = "family quasicyclic modulus=3\n"
+D1 = "vertex 1 kind damped beta 1 degrees 1\n"
+
+# every rejection path of the dialect and of the data classes behind it,
+# as (id, text, exact message)
+REJECTED = [
+    ("empty", "", "empty family file"),
+    ("comments-only", "# only a comment\n\n", "empty family file"),
+    ("no-name", "family\n", "line 1: expected 'family <name>'"),
+    ("no-name-late", "# lead\n\nfamily\n",
+     "line 3: expected 'family <name>'"),
+    ("unknown-family", "family nope\n", "line 1: unknown family 'nope'"),
+    ("case1-vertex", "family case1 lambda=1 mu=-1 J=1\nvertex 1 kind damped\n",
+     "line 2: case1 takes no vertex lines"),
+    ("case2-rescale", "family case2 m=2 alpha=-1 J=1\n\nrescale 1 2\n",
+     "line 3: case2 takes no vertex lines"),
+    ("case-unknown", "family case1 lambda=1 mu=-1 J=1 foo=2\n",
+     "line 1: unknown field 'foo'"),
+    ("case-bare-key", "family case1 lambda mu=-1 J=1\n",
+     "line 1: expected key=value, got 'lambda'"),
+    ("case-empty-J", "family case1 lambda=1 mu=-1 J=\n",
+     "line 1: degree set must be positive and nonempty"),
+    ("case-zero-degree", "family case1 lambda=1 mu=-1 J=0,1\n",
+     "line 1: degree set must be positive and nonempty"),
+    ("case-no-J", "family case1 lambda=1 mu=-1\n",
+     "line 1: degree set must be positive and nonempty"),
+    ("case2-zero-m", "family case2 m=0 alpha=-1 J=1\n",
+     "line 1: modulus must be a positive integer, got 0"),
+    ("case2-zero-alpha", "family case2 m=2 alpha=0 J=1\n",
+     "line 1: alpha must be nonzero"),
+    ("case1-no-lambda", "family case1 mu=-1 J=1,2\n", "line 1: 'lambda'"),
+    ("case2-no-alpha", "family case2 m=2 J=1,2\n", "line 1: 'alpha'"),
+    ("case1-bad-lambda", "family case1 lambda=1/0 mu=-1 J=1\n",
+     "line 1: Fraction(1, 0)"),
+    ("case1-bad-mu", "family case1 lambda=1 mu=x J=1\n",
+     "line 1: Invalid literal for Fraction: 'x'"),
+    ("case1-bad-J", "family case1 lambda=1 mu=-1 J=1,x\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("case2-bad-m", "family case2 m=x alpha=-1 J=1\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("fundamental-header", "family fundamental x=1\n" + D1,
+     "fundamental takes no header fields"),
+    ("vertex-bare", FUND + "vertex\n", "line 2: want 'vertex <i> ...'"),
+    ("vertex-bad-index", FUND + "vertex x kind damped beta 1 degrees 1\n",
+     "line 2: want 'vertex <i> ...'"),
+    ("vertex-misspelt", FUND + "vertx 1 kind reduced degrees 1\n",
+     "line 2: want 'vertex <i> ...'"),
+    ("vertex-dangling", FUND + "vertex 1 kind reduced degrees\n",
+     "line 2: dangling field 'degrees'"),
+    ("vertex-repeated", FUND + "vertex 1 kind reduced kind reduced degrees 1\n",
+     "line 2: repeated field 'kind'"),
+    ("vertex-unknown", FUND + "vertex 1 kind reduced degrees 1 colour red\n",
+     "line 2: unknown field 'colour'"),
+    ("vertex-no-kind", FUND + "vertex 1 degrees 1\n",
+     "line 2: vertex needs kind and degrees"),
+    ("bad-degree", FUND + "vertex 1 kind reduced degrees 1,x\n",
+     "line 2: bad degree 'x'"),
+    ("range-not-last", FUND + "vertex 1 kind reduced degrees 1..,3\n",
+     "line 2: bad degree range '1..'"),
+    ("bad-range", FUND + "vertex 1 kind reduced degrees x..\n",
+     "line 2: bad degree range 'x..'"),
+    ("empty-degrees", FUND + "vertex 1 kind reduced degrees ,\n",
+     "line 2: empty degree list"),
+    ("bad-coupling", FUND + D1 + "vertex 2 kind scaled a 1=1 degrees 1\n",
+     "line 3: bad coupling '1=1'"),
+    ("bad-coupling-value", FUND + D1 + "vertex 2 kind scaled a 1:x degrees 1\n",
+     "line 3: bad coupling value 'x'"),
+    ("zero-denominator-coupling",
+     FUND + D1 + "vertex 2 kind scaled a 1:1/0 degrees 1\n",
+     "line 3: bad coupling value '1/0'"),
+    ("bad-beta", FUND + "vertex 1 kind damped beta x degrees 1\n",
+     "line 2: bad beta value"),
+    ("bad-nu", FUND + D1 + "vertex 2 kind shifted nu 1/0 a 1:1 degrees 1\n",
+     "line 3: bad nu value"),
+    ("rescale-short", FUND + D1 + "rescale 1\n",
+     "line 3: want 'rescale j factor'"),
+    ("rescale-bad-factor", FUND + D1 + "rescale 1 x\n",
+     "line 3: bad factor 'x'"),
+    ("rescale-zero", FUND + D1 + "rescale 1 0\n",
+     "variable 1: rescaling factor must be nonzero"),
+    ("rescale-out-of-range", FUND + D1 + "rescale 2 3\n",
+     "variable index 2 out of range 1..1"),
+    ("unknown-kind", FUND + "vertex 1 kind weird degrees 1\n",
+     "vertex 1: unknown kind 'weird'"),
+    ("damped-no-beta", FUND + "vertex 1 kind damped degrees 1\n",
+     "vertex 1: damped needs beta"),
+    ("stray-beta", FUND + "vertex 1 kind reduced beta 1 degrees 1\n",
+     "vertex 1: beta belongs to damped equations only"),
+    ("shifted-nu-1", FUND + D1 + "vertex 2 kind shifted nu 1 a 1:1 degrees 1\n",
+     "vertex 2: shifted needs nu != 1"),
+    ("no-damped-or-reduced", FUND + "vertex 1 kind full degrees 1\n",
+     "need at least one damped or reduced equation"),
+    ("coupling-to-unknown", FUND + D1 + "vertex 2 kind scaled a 3:1 degrees 1\n",
+     "vertex 2: coupling to unknown equation 3"),
+    ("duplicate-index", FUND + D1 + "vertex 1 kind reduced degrees 1\n",
+     "vertex indices must be exactly 1..N"),
+    ("index-gap", FUND + D1 + "vertex 3 kind reduced degrees 1\n",
+     "vertex indices must be exactly 1..N"),
+    ("index-zero", FUND + "vertex 0 kind reduced degrees 1\n",
+     "vertex indices must be exactly 1..N"),
+    ("no-degree-1", FUND + "vertex 1 kind damped beta 1 degrees 2\n",
+     "vertex 1: every equation needs a degree-1 operator"),
+    ("degree-0", FUND + "vertex 1 kind damped beta 1 degrees 0,1\n",
+     "vertex 1: operator degrees must be positive integers"),
+    ("family-start-0", FUND + "vertex 1 kind damped beta 1 degrees 0..\n",
+     "vertex 1: bad family start 0"),
+    ("degree-in-range", FUND + "vertex 1 kind damped beta 1 degrees 1,3,2..\n",
+     "vertex 1: explicit degree inside the family range"),
+    ("family-at-level", FUND + D1 + "vertex 2 kind scaled a 1:1 degrees 1\n"
+     "vertex 3 kind extension a 2:1 degrees 1..\n",
+     "vertex 3: a family template only covers degrees above the level (1)"),
+    ("circular", FUND + D1 + "vertex 2 kind extension a 3:1 degrees 1\n"
+     "vertex 3 kind extension a 2:1 degrees 1\n",
+     "circular extension dependencies through vertices 2, 3"),
+    ("qc-no-modulus", "family quasicyclic\n", "quasicyclic needs modulus=<M>"),
+    ("qc-bad-modulus", "family quasicyclic modulus=x\n", "bad modulus 'x'"),
+    ("qc-bare-key", "family quasicyclic modulus\n",
+     "header: expected key=value, got 'modulus'"),
+    ("qc-unknown-header", "family quasicyclic modulus=3 foo=1\n",
+     "unknown field 'foo'"),
+    ("qc-zero-modulus", "family quasicyclic modulus=0\n"
+     "vertex 1 class 0 degrees 1\n", "bad modulus 0"),
+    ("qc-no-class", QC + "vertex 1 degrees 1\n",
+     "line 2: vertex needs class and degrees"),
+    ("qc-bad-class", QC + "vertex 1 class x degrees 1\n",
+     "line 2: bad class 'x'"),
+    ("qc-infinite", QC + "vertex 1 class 0 degrees 1..\n",
+     "line 2: quasi-cyclic degree sets are finite"),
+    ("qc-bad-children", QC + "vertex 1 class 0 children 2,x degrees 1\n",
+     "line 2: bad children list"),
+    ("qc-bad-weight", QC + "vertex 1 class 0 weight x degrees 1\n",
+     "line 2: bad weight"),
+    ("qc-residue-range", QC + "vertex 1 class 5 degrees 1\n",
+     "vertex 1: residue 5 out of range mod 3"),
+    ("qc-unknown-child", QC + "vertex 1 class 0 children 9 degrees 1\n",
+     "vertex 1: unknown child 9"),
+    ("qc-child-class", QC + "vertex 1 class 0 children 1 degrees 1\n",
+     "vertex 1: child 1 is not one residue class forward"),
+    ("qc-children-differ", QC + "vertex 1 class 0 children 2,3 degrees 1\n"
+     "vertex 2 class 1 weight 1 degrees 1\nvertex 3 class 1 weight 2 degrees 1\n",
+     "vertex 1: children 2 and 3 are not interchangeable, so the chain "
+     "scalars are inconsistent"),
+    ("qc-duplicate-index",
+     QC + "vertex 1 class 0 degrees 1\nvertex 1 class 0 degrees 1\n",
+     "vertex indices must be exactly 1..N"),
+    ("qc-no-degree-1", QC + "vertex 1 class 0 degrees 2\n",
+     "vertex 1: every equation needs a degree-1 operator"),
+    ("qc-degree-0", QC + "vertex 1 class 0 degrees 0,1\n",
+     "vertex 1: operator degrees must be positive integers"),
+    ("qc-unknown", QC + "vertex 1 class 0 degrees 1 colour red\n",
+     "line 2: unknown field 'colour'"),
+    ("qc-dangling", QC + "vertex 1 class 0 degrees\n",
+     "line 2: dangling field 'degrees'"),
+    ("qc-repeated", QC + "vertex 1 class 0 class 0 degrees 1\n",
+     "line 2: repeated field 'class'"),
+]
+
+
+@pytest.mark.parametrize("text,message", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_family_text_rejections(text, message):
+    with pytest.raises(SystemFormatError) as exc:
+        parse_family_text(text)
+    assert str(exc.value) == message
+
+
+# the first two texts are not family text, so build reads them as systems
+@pytest.mark.parametrize("text,message", [r[1:] for r in REJECTED[2:]],
+                         ids=[r[0] for r in REJECTED[2:]])
+def test_build_rejects_family_text_in_one_line(capsys, text, message):
+    assert main(["build", text]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -------------------------------------------------------------- validation
