@@ -61,7 +61,8 @@ from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
 from .solver import (SDSE, INCONSISTENT, SystemFormatError, _exprs_equal,
-                     check_hopf, extract_lambda, rescale_variable, solve)
+                     _lines, check_hopf, extract_lambda, rescale_variable,
+                     solve)
 from .trees import Decoration, ladder, single
 
 
@@ -216,6 +217,33 @@ LEVEL_ZERO = frozenset((DAMPED, REDUCED, FULL, SCALED))
 COUPLING_KINDS = (DAMPED, REDUCED, FULL)
 
 
+def _vertex_set(vertices) -> tuple:
+    """Vertices sorted by index, after the checks every system description
+    shares: indices exactly 1..N, positive integer degrees, and a degree-1
+    operator (an open family from degree 1 counts)."""
+    vs = tuple(sorted(vertices, key=lambda v: v.index))
+    for k, v in enumerate(vs, start=1):
+        if v.index != k:
+            cause = (f"index {k} missing" if v.index > k else
+                     f"index {v.index} repeated" if v.index >= 1 else
+                     f"index {v.index} out of range")
+            raise SystemFormatError(
+                f"vertex indices must be exactly 1..N ({cause})")
+    for v in vs:
+        where = f"vertex {v.index}"
+        v.degrees = tuple(sorted(set(v.degrees)))
+        start = getattr(v, "all_from", None)
+        if any(not isinstance(q, int) or q < 1 for q in v.degrees):
+            raise SystemFormatError(f"{where}: operator degrees must be "
+                                    f"positive integers")
+        if start is not None and (not isinstance(start, int) or start < 1):
+            raise SystemFormatError(f"{where}: bad family start {start!r}")
+        if 1 not in v.degrees and start != 1:
+            raise SystemFormatError(f"{where}: every equation needs a "
+                                    f"degree-1 operator")
+    return vs
+
+
 class Vertex(Record):
     """One equation of a fundamental system.
 
@@ -249,10 +277,7 @@ class FundamentalData:
     """
 
     def __init__(self, vertices):
-        vs = sorted(vertices, key=lambda v: v.index)
-        if [v.index for v in vs] != list(range(1, len(vs) + 1)):
-            raise SystemFormatError("vertex indices must be exactly 1..N")
-        self.vertices = tuple(vs)
+        vs = self.vertices = _vertex_set(vertices)
         self._by = {v.index: v for v in vs}
         for v in vs:
             self._check_vertex(v)
@@ -264,7 +289,7 @@ class FundamentalData:
                 self._check_disjunction(v)
         self.levels = self._compute_levels()
         for v in vs:
-            self._check_degrees(v)
+            self._check_family_range(v)
         for v in vs:
             if v.kind == RELAY:
                 self._shared_coupling(v)          # raises on disagreement
@@ -283,6 +308,8 @@ class FundamentalData:
 
     def coupling(self, i: int) -> dict:
         return self._by[i].a
+
+    _deps = coupling
 
     def level(self, i: int) -> int:
         return self.levels[i]
@@ -371,26 +398,17 @@ class FundamentalData:
                 f"circular extension dependencies through vertices {bad}")
         return levels
 
-    def _check_degrees(self, v: Vertex):
+    def _check_family_range(self, v: Vertex):
+        if v.all_from is None:
+            return
         where = f"vertex {v.index}"
-        v.degrees = tuple(sorted(set(v.degrees)))
-        if any(not isinstance(q, int) or q < 1 for q in v.degrees):
-            raise SystemFormatError(f"{where}: operator degrees must be "
-                                    f"positive integers")
-        if v.all_from is not None:
-            if not isinstance(v.all_from, int) or v.all_from < 1:
-                raise SystemFormatError(f"{where}: bad family start "
-                                        f"{v.all_from!r}")
-            if any(q >= v.all_from for q in v.degrees):
-                raise SystemFormatError(f"{where}: explicit degree inside "
-                                        f"the family range")
-            if v.all_from <= self.levels[v.index]:
-                raise SystemFormatError(
-                    f"{where}: a family template only covers degrees above "
-                    f"the level ({self.levels[v.index]})")
-        if 1 not in v.degrees and v.all_from != 1:
-            raise SystemFormatError(f"{where}: every equation needs a "
-                                    f"degree-1 operator")
+        if any(q >= v.all_from for q in v.degrees):
+            raise SystemFormatError(f"{where}: explicit degree inside "
+                                    f"the family range")
+        if v.all_from <= self.levels[v.index]:
+            raise SystemFormatError(
+                f"{where}: a family template only covers degrees above "
+                f"the level ({self.levels[v.index]})")
 
     def _shared_coupling(self, v: Vertex) -> dict:
         """Common coupling family of a relay's scaled dependencies."""
@@ -506,11 +524,12 @@ def _walk(data: FundamentalData, i: int, steps: int) -> int:
     return i
 
 
-def dependency_endpoints(data: FundamentalData, i: int, steps: int) -> tuple:
-    """Every equation reachable from i in exactly `steps` dependency hops."""
+def dependency_endpoints(data, i: int, steps: int) -> tuple:
+    """Every equation reachable from i in exactly `steps` dependency hops:
+    couplings of a FundamentalData, children of a QuasiCyclicData."""
     frontier = {i}
     for _ in range(steps):
-        frontier = {j for k in frontier for j in data.coupling(k)}
+        frontier = {j for k in frontier for j in data._deps(k)}
     return tuple(sorted(frontier))
 
 
@@ -838,10 +857,7 @@ class QuasiCyclicData:
         if not isinstance(modulus, int) or modulus < 1:
             raise SystemFormatError(f"bad modulus {modulus!r}")
         self.modulus = modulus
-        vs = sorted(vertices, key=lambda v: v.index)
-        if [v.index for v in vs] != list(range(1, len(vs) + 1)):
-            raise SystemFormatError("vertex indices must be exactly 1..N")
-        self.vertices = tuple(vs)
+        vs = self.vertices = _vertex_set(vertices)
         self._by = {v.index: v for v in vs}
         for v in vs:
             where = f"vertex {v.index}"
@@ -853,13 +869,6 @@ class QuasiCyclicData:
             for c in v.children:
                 if c not in self._by:
                     raise SystemFormatError(f"{where}: unknown child {c}")
-            v.degrees = tuple(sorted(set(v.degrees)))
-            if any(not isinstance(q, int) or q < 1 for q in v.degrees):
-                raise SystemFormatError(f"{where}: operator degrees must be "
-                                        f"positive integers")
-            if 1 not in v.degrees:
-                raise SystemFormatError(f"{where}: every equation needs a "
-                                        f"degree-1 operator")
         for v in vs:
             for c in v.children:
                 if self._by[c].residue != (v.residue + 1) % modulus:
@@ -879,12 +888,8 @@ class QuasiCyclicData:
     def nvars(self) -> int:
         return len(self.vertices)
 
-    def path_targets(self, i: int, q: int) -> tuple:
-        """Equations reachable from i along exactly q dependency hops."""
-        frontier = {i}
-        for _ in range(q):
-            frontier = {c for k in frontier for c in self._by[k].children}
-        return tuple(sorted(frontier))
+    def _deps(self, i: int) -> tuple:
+        return self._by[i].children
 
     def path_value(self, i: int, q: int) -> Optional[Fraction]:
         """b_q: the product of weights along any length-q path from i
@@ -906,7 +911,7 @@ def build_quasicyclic(data: QuasiCyclicData) -> SDSE:
     triples = []
     for v in data.vertices:
         for q in v.degrees:
-            targets = data.path_targets(v.index, q)
+            targets = dependency_endpoints(data, v.index, q)
             if not targets:
                 triples.append((v.index, q, num(1)))
                 continue
@@ -940,7 +945,7 @@ def _chains(data: QuasiCyclicData, S: SDSE, i: int, n: int):
         b = data.path_value(i, q)
         if b is None:
             continue
-        for j in data.path_targets(i, q):
+        for j in dependency_endpoints(data, i, q):
             for decs, w in _chains(data, S, j, n - q):
                 yield ((Decoration(i, q),) + decs, b * w)
 
@@ -1002,11 +1007,62 @@ def check_ladder_sums(S: SDSE, data: QuasiCyclicData, N: int) -> LadderSumReport
 # h_j -> c*h_j in the finished system.
 
 def is_family_text(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] == "family"
+    for _, line in _lines(text):
+        return line.split()[0] == "family"
     return False
+
+
+def _read(cast, text: str, where: str, what: str):
+    """cast(text), or a format error reporting 'bad <what>'."""
+    try:
+        return cast(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemFormatError(f"{where}: bad {what}") from None
+
+
+def _natural(text: str) -> int:
+    """A plain decimal numeral: no sign, blank or underscore."""
+    if not text.isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
+def _fields(tokens, where: str, owner: str, required, optional=(),
+            header=False) -> dict:
+    """A line's fields: key=value tokens on a header, alternating key and
+    value tokens on a vertex line.  A repeated, unknown or missing key is
+    an error; owner names the line in the last case."""
+    if header:
+        for tok in tokens:
+            if "=" not in tok:
+                raise SystemFormatError(
+                    f"{where}: expected key=value, got {tok!r}")
+        pairs = [tok.split("=", 1) for tok in tokens]
+    elif len(tokens) % 2:
+        raise SystemFormatError(f"{where}: dangling field {tokens[-1]!r}")
+    else:
+        pairs = zip(tokens[::2], tokens[1::2])
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise SystemFormatError(f"{where}: repeated field {key!r}")
+        fields[key] = value
+    if any(key not in fields for key in required):
+        raise SystemFormatError(
+            f"{where}: {owner} needs {' and '.join(required)}")
+    unknown = sorted(fields.keys() - {*required, *optional})
+    if unknown:
+        raise SystemFormatError(f"{where}: unknown field {unknown[0]!r}")
+    return fields
+
+
+def _vertex_line(line: str, where: str, required, optional) -> tuple:
+    """(index, fields) of a 'vertex <i> key value ...' line."""
+    tokens = line.split()
+    if tokens[0] != "vertex" or len(tokens) < 2 or not tokens[1].isdecimal():
+        raise SystemFormatError(f"{where}: want 'vertex <i> ...'")
+    return int(tokens[1]), _fields(tokens[2:], where, "vertex", required,
+                                   optional)
 
 
 def _parse_degree_spec(spec: str, where: str):
@@ -1014,14 +1070,13 @@ def _parse_degree_spec(spec: str, where: str):
     all_from = None
     parts = [p for p in spec.split(",") if p]
     for k, part in enumerate(parts):
-        if part.endswith(".."):
-            if k != len(parts) - 1 or not part[:-2].isdigit():
-                raise SystemFormatError(f"{where}: bad degree range {part!r}")
-            all_from = int(part[:-2])
-        elif part.isdigit():
-            explicit.append(int(part))
+        if not part.endswith(".."):
+            explicit.append(_read(_natural, part, where, f"degree {part!r}"))
+        elif k == len(parts) - 1:
+            all_from = _read(_natural, part[:-2], where,
+                             f"degree range {part!r}")
         else:
-            raise SystemFormatError(f"{where}: bad degree {part!r}")
+            raise SystemFormatError(f"{where}: bad degree range {part!r}")
     if not explicit and all_from is None:
         raise SystemFormatError(f"{where}: empty degree list")
     return tuple(explicit), all_from
@@ -1031,112 +1086,69 @@ def _parse_couplings(spec: str, where: str) -> dict:
     out = {}
     for part in spec.split(","):
         j, colon, val = part.partition(":")
-        if not colon or not j.isdigit():
+        if not colon or not j.isdecimal():
             raise SystemFormatError(f"{where}: bad coupling {part!r}")
-        try:
-            out[int(j)] = Fraction(val)
-        except (ValueError, ZeroDivisionError):
-            raise SystemFormatError(f"{where}: bad coupling value {val!r}")
-    return out
-
-
-def _take_fields(tokens, where: str) -> dict:
-    """Alternating key/value tokens into a dict."""
-    if len(tokens) % 2:
-        raise SystemFormatError(f"{where}: dangling field {tokens[-1]!r}")
-    fields = {}
-    for k in range(0, len(tokens), 2):
-        if tokens[k] in fields:
-            raise SystemFormatError(f"{where}: repeated field {tokens[k]!r}")
-        fields[tokens[k]] = tokens[k + 1]
-    return fields
-
-
-def _header_values(tokens, where: str) -> dict:
-    out = {}
-    for tok in tokens:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise SystemFormatError(f"{where}: expected key=value, got {tok!r}")
-        out[key] = val
+        out[int(j)] = _read(Fraction, val, where, f"coupling value {val!r}")
     return out
 
 
 def parse_family_text(text: str) -> SDSE:
     """Build a system from its family description (see the format note)."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(_lines(text))
     if not lines:
         raise SystemFormatError("empty family file")
     lineno, header = lines[0]
     tokens = header.split()
     if tokens[0] != "family" or len(tokens) < 2:
         raise SystemFormatError(f"line {lineno}: expected 'family <name>'")
-    name = tokens[1]
+    name, where, body = tokens[1], f"line {lineno}", lines[1:]
     if name in ("case1", "case2"):
-        if len(lines) > 1:
-            raise SystemFormatError(
-                f"line {lines[1][0]}: {name} takes no vertex lines")
-        vals = _header_values(tokens[2:], f"line {lineno}")
-        try:
-            J = [int(p) for p in vals.pop("J", "").split(",") if p]
-            if name == "case1":
-                S = build_case1(J, Fraction(vals.pop("lambda")),
-                                Fraction(vals.pop("mu")))
-            else:
-                S = build_case2(J, int(vals.pop("m")),
-                                Fraction(vals.pop("alpha")))
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
-            raise SystemFormatError(f"line {lineno}: {exc}") from exc
-        if vals:
-            raise SystemFormatError(
-                f"line {lineno}: unknown field {sorted(vals)[0]!r}")
-        return S
+        return _parse_case(name, where, tokens[2:], body)
     if name == "fundamental":
-        return _parse_fundamental(lines, tokens[2:])
+        return _parse_fundamental(where, tokens[2:], body)
     if name == "quasicyclic":
-        return _parse_quasicyclic(lines, tokens[2:])
-    raise SystemFormatError(f"line {lineno}: unknown family {name!r}")
+        return _parse_quasicyclic(where, tokens[2:], body)
+    raise SystemFormatError(f"{where}: unknown family {name!r}")
 
 
-def _parse_fundamental(lines, header_tokens) -> SDSE:
-    if header_tokens:
-        raise SystemFormatError("fundamental takes no header fields")
+def _parse_case(name, where, header, body) -> SDSE:
+    if body:
+        raise SystemFormatError(
+            f"line {body[0][0]}: {name} takes no vertex lines")
+    first, second = ("lambda", "mu") if name == "case1" else ("m", "alpha")
+    f = _fields(header, where, name, (first, second), ("J",), header=True)
+    J = [_read(int, p, where, f"degree {p!r}")
+         for p in f.get("J", "").split(",") if p]
+    a = _read(Fraction if name == "case1" else int, f[first], where,
+              f"{first} {f[first]!r}")
+    b = _read(Fraction, f[second], where, f"{second} {f[second]!r}")
+    try:
+        return (build_case1 if name == "case1" else build_case2)(J, a, b)
+    except ValueError as exc:
+        raise SystemFormatError(f"{where}: {exc}") from None
+
+
+def _parse_fundamental(where, header, body) -> SDSE:
+    if header:
+        raise SystemFormatError(f"{where}: fundamental takes no header fields")
     vertices = []
     rescales = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         where = f"line {lineno}"
         tokens = line.split()
         if tokens[0] == "rescale":
-            if len(tokens) != 3 or not tokens[1].isdigit():
+            if len(tokens) != 3 or not tokens[1].isdecimal():
                 raise SystemFormatError(f"{where}: want 'rescale j factor'")
-            try:
-                rescales.append((int(tokens[1]), Fraction(tokens[2])))
-            except (ValueError, ZeroDivisionError):
-                raise SystemFormatError(f"{where}: bad factor {tokens[2]!r}")
+            rescales.append((int(tokens[1]), _read(
+                Fraction, tokens[2], where, f"factor {tokens[2]!r}")))
             continue
-        if tokens[0] != "vertex" or len(tokens) < 2 or not tokens[1].isdigit():
-            raise SystemFormatError(f"{where}: want 'vertex <i> ...'")
-        fields = _take_fields(tokens[2:], where)
-        if "kind" not in fields or "degrees" not in fields:
-            raise SystemFormatError(f"{where}: vertex needs kind and degrees")
-        explicit, all_from = _parse_degree_spec(fields.pop("degrees"), where)
-        kw = {}
-        for key in ("beta", "nu"):
-            if key in fields:
-                try:
-                    kw[key] = Fraction(fields.pop(key))
-                except (ValueError, ZeroDivisionError):
-                    raise SystemFormatError(f"{where}: bad {key} value")
-        a = _parse_couplings(fields.pop("a"), where) if "a" in fields else {}
-        kind = fields.pop("kind")
-        if fields:
-            raise SystemFormatError(
-                f"{where}: unknown field {sorted(fields)[0]!r}")
-        vertices.append(Vertex(int(tokens[1]), kind, a=a, degrees=explicit,
+        index, f = _vertex_line(line, where, ("kind", "degrees"),
+                                ("beta", "nu", "a"))
+        explicit, all_from = _parse_degree_spec(f["degrees"], where)
+        kw = {key: _read(Fraction, f[key], where, f"{key} value")
+              for key in ("beta", "nu") if key in f}
+        a = _parse_couplings(f["a"], where) if "a" in f else {}
+        vertices.append(Vertex(index, f["kind"], a=a, degrees=explicit,
                                all_from=all_from, **kw))
     S = build_fundamental(FundamentalData(vertices))
     for j, c in rescales:
@@ -1144,46 +1156,27 @@ def _parse_fundamental(lines, header_tokens) -> SDSE:
     return S
 
 
-def _parse_quasicyclic(lines, header_tokens) -> SDSE:
-    vals = _header_values(header_tokens, "header")
-    if "modulus" not in vals:
-        raise SystemFormatError("quasicyclic needs modulus=<M>")
-    if not vals["modulus"].isdigit():
-        raise SystemFormatError(f"bad modulus {vals['modulus']!r}")
-    modulus = int(vals.pop("modulus"))
-    if vals:
-        raise SystemFormatError(f"unknown field {sorted(vals)[0]!r}")
+def _parse_quasicyclic(where, header, body) -> SDSE:
+    value = _fields(header, where, "quasicyclic", ("modulus",),
+                    header=True)["modulus"]
+    modulus = _read(_natural, value, where, f"modulus {value!r}")
+    if modulus < 1:
+        raise SystemFormatError(f"{where}: bad modulus {value!r}")
     vertices = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         where = f"line {lineno}"
-        tokens = line.split()
-        if tokens[0] != "vertex" or len(tokens) < 2 or not tokens[1].isdigit():
-            raise SystemFormatError(f"{where}: want 'vertex <i> ...'")
-        fields = _take_fields(tokens[2:], where)
-        if "class" not in fields or "degrees" not in fields:
-            raise SystemFormatError(f"{where}: vertex needs class and degrees")
-        if not fields["class"].isdigit():
-            raise SystemFormatError(f"{where}: bad class {fields['class']!r}")
-        explicit, all_from = _parse_degree_spec(fields.pop("degrees"), where)
+        index, f = _vertex_line(line, where, ("class", "degrees"),
+                                ("children", "weight"))
+        residue = _read(_natural, f["class"], where, f"class {f['class']!r}")
+        explicit, all_from = _parse_degree_spec(f["degrees"], where)
         if all_from is not None:
             raise SystemFormatError(f"{where}: quasi-cyclic degree sets are "
                                     f"finite")
-        children = ()
-        if "children" in fields:
-            parts = fields.pop("children").split(",")
-            if not all(p.isdigit() for p in parts):
-                raise SystemFormatError(f"{where}: bad children list")
-            children = tuple(int(p) for p in parts)
-        weight = Fraction(1)
-        if "weight" in fields:
-            try:
-                weight = Fraction(fields.pop("weight"))
-            except (ValueError, ZeroDivisionError):
-                raise SystemFormatError(f"{where}: bad weight")
-        residue = int(fields.pop("class"))
-        if fields:
-            raise SystemFormatError(
-                f"{where}: unknown field {sorted(fields)[0]!r}")
-        vertices.append(CycleVertex(int(tokens[1]), residue, weight,
-                                    children, explicit))
+        children = tuple(_read(_natural, p, where, "children list")
+                         for p in f["children"].split(",")
+                         ) if "children" in f else ()
+        weight = _read(Fraction, f.get("weight", "1"), where, "weight")
+        vertices.append(CycleVertex(index, residue, weight, children,
+                                    explicit))
     return build_quasicyclic(QuasiCyclicData(modulus, vertices))
+

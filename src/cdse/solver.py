@@ -758,6 +758,14 @@ def rescale_variable(S: SDSE, j: int, factor) -> SDSE:
 
 # ------------------------------------------------------------- file format
 
+def _lines(text: str):
+    """(lineno, line) for each line left nonblank by cutting its '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_system_text(text: str, strict: bool = True) -> SDSE:
     """Read the line-oriented system format.
 
@@ -771,11 +779,7 @@ def parse_system_text(text: str, strict: bool = True) -> SDSE:
     current = None
     triples = []
     families = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-
+    for lineno, line in _lines(text):
         def fail(msg):
             raise SystemFormatError(f"line {lineno}: {msg}")
 

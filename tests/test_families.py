@@ -1,5 +1,7 @@
 """Closed-shape instances: building, classifying, and certifying them."""
 
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -81,14 +83,16 @@ def test_intro_certificates():
     assert check_hopf(S_INTRO, 4).is_hopf
 
 
+FULL = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "full", degrees=(1,)),
+])
+
+
 def test_full_singleton_series():
-    data = FundamentalData([
-        Vertex(1, "damped", beta=F(1), degrees=(1,)),
-        Vertex(2, "full", degrees=(1,)),
-    ])
-    S = build_fundamental(data)
+    S = build_fundamental(FULL)
     assert S.op_series(2, 1, 6) == series_like("(1 - h1)^-2", 2, 6)
-    assert check_closed_forms(S, data, 5).ok
+    assert check_closed_forms(S, FULL, 5).ok
 
 
 def test_damped_two_degrees_series_and_lambda():
@@ -120,16 +124,18 @@ def test_degree_one_product_route():
     assert S_DAMPED12.op_series(1, 2, 6) == S_DAMPED12.op_series(1, 1, 6) * Q
 
 
+MIXED = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "reduced", degrees=(1,)),
+    Vertex(3, "scaled", a={1: F(1), 2: F(2)}, degrees=(1,)),
+    Vertex(4, "shifted", nu=F(2), a={1: F(1)}, degrees=(1, 2)),
+    Vertex(5, "relay", nu=F(3), a={3: F(1, 2)}, degrees=(1, 2)),
+])
+
+
 def test_mixed_kinds_certify():
-    data = FundamentalData([
-        Vertex(1, "damped", beta=F(1), degrees=(1,)),
-        Vertex(2, "reduced", degrees=(1,)),
-        Vertex(3, "scaled", a={1: F(1), 2: F(2)}, degrees=(1,)),
-        Vertex(4, "shifted", nu=F(2), a={1: F(1)}, degrees=(1, 2)),
-        Vertex(5, "relay", nu=F(3), a={3: F(1, 2)}, degrees=(1, 2)),
-    ])
-    S = build_fundamental(data)
-    rep = check_closed_forms(S, data, 5)
+    S = build_fundamental(MIXED)
+    rep = check_closed_forms(S, MIXED, 5)
     assert rep.ok, rep.failures
     assert check_hopf(S, 4).is_hopf
 
@@ -159,12 +165,18 @@ PARTNERS = {
 }
 
 
-@pytest.mark.parametrize("partner", sorted(PARTNERS))
-@pytest.mark.parametrize("beta", [F(-1), F(0), F(-1, 3), F(1), F(2)],
-                         ids=str)
-def test_damped_beta_grid_certifies(beta, partner):
-    data = FundamentalData([Vertex(1, "damped", beta=beta, degrees=(1, 2))]
+BETAS = [F(-1), F(0), F(-1, 3), F(1), F(2)]
+
+
+def damped_with(beta, partner):
+    return FundamentalData([Vertex(1, "damped", beta=beta, degrees=(1, 2))]
                            + PARTNERS[partner]())
+
+
+@pytest.mark.parametrize("partner", sorted(PARTNERS))
+@pytest.mark.parametrize("beta", BETAS, ids=str)
+def test_damped_beta_grid_certifies(beta, partner):
+    data = damped_with(beta, partner)
     S = build_fundamental(data)
     rep = check_closed_forms(S, data, 5)
     assert rep.ok, rep.failures
@@ -172,13 +184,15 @@ def test_damped_beta_grid_certifies(beta, partner):
     assert check_hopf(S, 4).is_hopf
 
 
+SHIFTED_LOG = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "shifted", nu=F(0), a={1: F(1)}, degrees=(1, 2)),
+])
+
+
 def test_shifted_log_item():
-    data = FundamentalData([
-        Vertex(1, "damped", beta=F(1), degrees=(1,)),
-        Vertex(2, "shifted", nu=F(0), a={1: F(1)}, degrees=(1, 2)),
-    ])
-    S = build_fundamental(data)
-    rep = check_closed_forms(S, data, 5)
+    S = build_fundamental(SHIFTED_LOG)
+    rep = check_closed_forms(S, SHIFTED_LOG, 5)
     assert rep.ok, rep.failures
     assert check_hopf(S, 4).is_hopf
 
@@ -198,17 +212,19 @@ def test_extension_certificates():
     assert check_hopf(S_EXT, 4).is_hopf
 
 
+DRIFTLESS = FundamentalData([
+    Vertex(1, "damped", beta=F(1), degrees=(1,)),
+    Vertex(2, "full", degrees=(1,)),
+    Vertex(3, "extension", a={2: F(2)}, degrees=(1, 2, 3)),
+])
+
+
 def test_driftless_extension_is_a_plain_power():
-    data = FundamentalData([
-        Vertex(1, "damped", beta=F(1), degrees=(1,)),
-        Vertex(2, "full", degrees=(1,)),
-        Vertex(3, "extension", a={2: F(2)}, degrees=(1, 2, 3)),
-    ])
-    S = build_fundamental(data)
-    Q = shared_product_series(data, 5)
+    S = build_fundamental(DRIFTLESS)
+    Q = shared_product_series(DRIFTLESS, 5)
     for q in (2, 3):
         assert S.op_series(3, q, 5) == Q.pow_int(q - 1)
-    assert check_closed_forms(S, data, 5).ok
+    assert check_closed_forms(S, DRIFTLESS, 5).ok
     assert check_hopf(S, 4).is_hopf
 
 
@@ -345,31 +361,38 @@ def test_ladder_sums_solve_once(monkeypatch):
     assert calls == [5]
 
 
+QC_LOOP = QuasiCyclicData(1, [CycleVertex(1, 0, F(2), (1,), (1,))])
+
+
 def test_quasicyclic_self_loop():
-    qc = QuasiCyclicData(1, [CycleVertex(1, 0, F(2), (1,), (1,))])
-    S = build_quasicyclic(qc)
+    S = build_quasicyclic(QC_LOOP)
     assert S.op_series(1, 1, 5) == series_like("1 + 2*h1", 1, 5)
-    assert check_ladder_sums(S, qc, 5).ok
+    assert check_ladder_sums(S, QC_LOOP, 5).ok
     # single cycle of weight 2: the n-ladder carries 2^(n-1)
     sol = solve(S, 4)
     four = ladder((1, 1), (1, 1), (1, 1), (1, 1))
     assert sol.component(1, 4).coeff(single(four)) == 8
 
 
+QC_WEIGHTED = QuasiCyclicData(2, [
+    CycleVertex(1, 0, F(1), (2,), (1, 2)),
+    CycleVertex(2, 1, F(3), (1,), (1,)),
+])
+
+# the weighted system with weights that break the Hopf property
+QC_BAD_WEIGHTS = QuasiCyclicData(2, [
+    CycleVertex(1, 0, F(1, 2), (2,), (1, 2)),
+    CycleVertex(2, 1, F(3), (1,), (1,)),
+])
+
+
 def test_quasicyclic_weighted_multidegree():
-    qc = QuasiCyclicData(2, [
-        CycleVertex(1, 0, F(1), (2,), (1, 2)),
-        CycleVertex(2, 1, F(3), (1,), (1,)),
-    ])
-    assert check_ladder_sums(build_quasicyclic(qc), qc, 5).ok
+    assert check_ladder_sums(build_quasicyclic(QC_WEIGHTED), QC_WEIGHTED, 5).ok
 
 
 def test_quasicyclic_bad_weights_fail_only_hopf():
-    qc = QuasiCyclicData(2, [
-        CycleVertex(1, 0, F(1, 2), (2,), (1, 2)),
-        CycleVertex(2, 1, F(3), (1,), (1,)),
-    ])
-    rep = check_ladder_sums(build_quasicyclic(qc), qc, 5)
+    rep = check_ladder_sums(build_quasicyclic(QC_BAD_WEIGHTS), QC_BAD_WEIGHTS,
+                            5)
     assert not rep.ok
     assert not rep.hopf
     assert rep.failures == ["Hopf test failed"]
@@ -424,6 +447,52 @@ def test_system_text_round_trip():
     assert parse_system_text(system_text(S_EXT)) == S_EXT
 
 
+def family_text(data, rng) -> str:
+    """data written as family text, vertex lines and fields in rng's order."""
+    if isinstance(data, QuasiCyclicData):
+        head = f"family quasicyclic modulus={data.modulus}"
+    else:
+        head = "family fundamental"
+    lines = []
+    for v in data.vertices:
+        degrees = [str(q) for q in v.degrees]
+        if isinstance(v, CycleVertex):
+            fields = {"class": v.residue, "weight": v.weight,
+                      "children": ",".join(map(str, v.children))}
+        else:
+            fields = {"kind": v.kind, "beta": v.beta, "nu": v.nu,
+                      "a": ",".join(f"{j}:{c}" for j, c in v.a.items())}
+            if v.all_from is not None:
+                degrees.append(f"{v.all_from}..")
+        fields["degrees"] = ",".join(degrees)
+        pairs = [f"{k} {val}" for k, val in fields.items()
+                 if val not in (None, "")]
+        rng.shuffle(pairs)
+        lines.append(" ".join([f"vertex {v.index}"] + pairs))
+    rng.shuffle(lines)
+    return "\n".join([head] + lines) + "\n"
+
+
+ROUND_TRIP = {
+    "INTRO": INTRO, "DAMPED12": DAMPED12, "EXT": EXT, "FULL": FULL,
+    "MIXED": MIXED, "SHIFTED_LOG": SHIFTED_LOG, "DRIFTLESS": DRIFTLESS,
+    "STACK": STACK, "CHAIN": CHAIN, "QC3": QC3, "QC_LOOP": QC_LOOP,
+    "QC_WEIGHTED": QC_WEIGHTED, "QC_BAD_WEIGHTS": QC_BAD_WEIGHTS,
+    **{f"damped-{beta}-{partner}": damped_with(beta, partner)
+       for beta in BETAS for partner in PARTNERS},
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_family_text_round_trip(name, seed):
+    data = ROUND_TRIP[name]
+    text = family_text(data, random.Random(seed))
+    build = (build_quasicyclic if isinstance(data, QuasiCyclicData)
+             else build_fundamental)
+    assert parse_family_text(text) == build(data)
+
+
 FUND = "family fundamental\n"
 QC = "family quasicyclic modulus=3\n"
 D1 = "vertex 1 kind damped beta 1 degrees 1\n"
@@ -455,18 +524,21 @@ REJECTED = [
      "line 1: modulus must be a positive integer, got 0"),
     ("case2-zero-alpha", "family case2 m=2 alpha=0 J=1\n",
      "line 1: alpha must be nonzero"),
-    ("case1-no-lambda", "family case1 mu=-1 J=1,2\n", "line 1: 'lambda'"),
-    ("case2-no-alpha", "family case2 m=2 J=1,2\n", "line 1: 'alpha'"),
+    ("case1-no-lambda", "family case1 mu=-1 J=1,2\n",
+     "line 1: case1 needs lambda and mu"),
+    ("case2-no-alpha", "family case2 m=2 J=1,2\n",
+     "line 1: case2 needs m and alpha"),
     ("case1-bad-lambda", "family case1 lambda=1/0 mu=-1 J=1\n",
-     "line 1: Fraction(1, 0)"),
+     "line 1: bad lambda '1/0'"),
     ("case1-bad-mu", "family case1 lambda=1 mu=x J=1\n",
-     "line 1: Invalid literal for Fraction: 'x'"),
+     "line 1: bad mu 'x'"),
     ("case1-bad-J", "family case1 lambda=1 mu=-1 J=1,x\n",
-     "line 1: invalid literal for int() with base 10: 'x'"),
-    ("case2-bad-m", "family case2 m=x alpha=-1 J=1\n",
-     "line 1: invalid literal for int() with base 10: 'x'"),
+     "line 1: bad degree 'x'"),
+    ("case2-bad-m", "family case2 m=x alpha=-1 J=1\n", "line 1: bad m 'x'"),
+    ("case1-repeated", "family case1 lambda=1 mu=-1 J=1 lambda=2\n",
+     "line 1: repeated field 'lambda'"),
     ("fundamental-header", "family fundamental x=1\n" + D1,
-     "fundamental takes no header fields"),
+     "line 1: fundamental takes no header fields"),
     ("vertex-bare", FUND + "vertex\n", "line 2: want 'vertex <i> ...'"),
     ("vertex-bad-index", FUND + "vertex x kind damped beta 1 degrees 1\n",
      "line 2: want 'vertex <i> ...'"),
@@ -520,11 +592,11 @@ REJECTED = [
     ("coupling-to-unknown", FUND + D1 + "vertex 2 kind scaled a 3:1 degrees 1\n",
      "vertex 2: coupling to unknown equation 3"),
     ("duplicate-index", FUND + D1 + "vertex 1 kind reduced degrees 1\n",
-     "vertex indices must be exactly 1..N"),
+     "vertex indices must be exactly 1..N (index 1 repeated)"),
     ("index-gap", FUND + D1 + "vertex 3 kind reduced degrees 1\n",
-     "vertex indices must be exactly 1..N"),
+     "vertex indices must be exactly 1..N (index 2 missing)"),
     ("index-zero", FUND + "vertex 0 kind reduced degrees 1\n",
-     "vertex indices must be exactly 1..N"),
+     "vertex indices must be exactly 1..N (index 0 out of range)"),
     ("no-degree-1", FUND + "vertex 1 kind damped beta 1 degrees 2\n",
      "vertex 1: every equation needs a degree-1 operator"),
     ("degree-0", FUND + "vertex 1 kind damped beta 1 degrees 0,1\n",
@@ -539,14 +611,18 @@ REJECTED = [
     ("circular", FUND + D1 + "vertex 2 kind extension a 3:1 degrees 1\n"
      "vertex 3 kind extension a 2:1 degrees 1\n",
      "circular extension dependencies through vertices 2, 3"),
-    ("qc-no-modulus", "family quasicyclic\n", "quasicyclic needs modulus=<M>"),
-    ("qc-bad-modulus", "family quasicyclic modulus=x\n", "bad modulus 'x'"),
+    ("qc-no-modulus", "family quasicyclic\n",
+     "line 1: quasicyclic needs modulus"),
+    ("qc-bad-modulus", "family quasicyclic modulus=x\n",
+     "line 1: bad modulus 'x'"),
     ("qc-bare-key", "family quasicyclic modulus\n",
-     "header: expected key=value, got 'modulus'"),
+     "line 1: expected key=value, got 'modulus'"),
     ("qc-unknown-header", "family quasicyclic modulus=3 foo=1\n",
-     "unknown field 'foo'"),
+     "line 1: unknown field 'foo'"),
+    ("qc-repeated-header", "family quasicyclic modulus=2 modulus=3\n"
+     "vertex 1 class 0 degrees 1\n", "line 1: repeated field 'modulus'"),
     ("qc-zero-modulus", "family quasicyclic modulus=0\n"
-     "vertex 1 class 0 degrees 1\n", "bad modulus 0"),
+     "vertex 1 class 0 degrees 1\n", "line 1: bad modulus '0'"),
     ("qc-no-class", QC + "vertex 1 degrees 1\n",
      "line 2: vertex needs class and degrees"),
     ("qc-bad-class", QC + "vertex 1 class x degrees 1\n",
@@ -569,7 +645,7 @@ REJECTED = [
      "scalars are inconsistent"),
     ("qc-duplicate-index",
      QC + "vertex 1 class 0 degrees 1\nvertex 1 class 0 degrees 1\n",
-     "vertex indices must be exactly 1..N"),
+     "vertex indices must be exactly 1..N (index 1 repeated)"),
     ("qc-no-degree-1", QC + "vertex 1 class 0 degrees 2\n",
      "vertex 1: every equation needs a degree-1 operator"),
     ("qc-degree-0", QC + "vertex 1 class 0 degrees 0,1\n",
@@ -580,6 +656,21 @@ REJECTED = [
      "line 2: dangling field 'degrees'"),
     ("qc-repeated", QC + "vertex 1 class 0 class 0 degrees 1\n",
      "line 2: repeated field 'class'"),
+    # '²' passes str.isdigit but not int(): each of these used to escape
+    # as a bare ValueError
+    ("superscript-index", FUND + "vertex ² kind damped beta 1 degrees 1\n",
+     "line 2: want 'vertex <i> ...'"),
+    ("superscript-degree", FUND + "vertex 1 kind damped beta 1 degrees ²\n",
+     "line 2: bad degree '²'"),
+    ("superscript-rescale", FUND + D1 + "rescale ² 2\n",
+     "line 3: want 'rescale j factor'"),
+    ("superscript-m", "family case2 m=² alpha=-1 J=1\n", "line 1: bad m '²'"),
+    ("superscript-modulus", "family quasicyclic modulus=²\n",
+     "line 1: bad modulus '²'"),
+    ("superscript-class", QC + "vertex 1 class ² degrees 1\n",
+     "line 2: bad class '²'"),
+    ("superscript-child", QC + "vertex 1 class 0 children ² degrees 1\n",
+     "line 2: bad children list"),
 ]
 
 
@@ -600,6 +691,21 @@ def test_build_rejects_family_text_in_one_line(capsys, text, message):
 
 
 # -------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("indices,cause", [
+    ((1, 1), "index 1 repeated"),
+    ((1, 2, 2, 3), "index 2 repeated"),
+    ((2,), "index 1 missing"),
+    ((1, 2, 4), "index 3 missing"),
+    ((-1, 1), "index -1 out of range"),
+])
+def test_vertex_index_message_names_the_cause(indices, cause):
+    message = f"vertex indices must be exactly 1..N ({cause})"
+    with pytest.raises(SystemFormatError, match=re.escape(message)):
+        FundamentalData([Vertex(i, "reduced") for i in indices])
+    with pytest.raises(SystemFormatError, match=re.escape(message)):
+        QuasiCyclicData(1, [CycleVertex(i, 0) for i in indices])
+
 
 def V(*vs):
     return FundamentalData(list(vs))
