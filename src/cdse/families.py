@@ -1021,7 +1021,7 @@ def _read(cast, text: str, where: str, what: str):
 
 
 def _natural(text: str) -> int:
-    """A plain decimal numeral: no sign, blank or underscore."""
+    """A plain decimal numeral: no sign, blank, underscore or superscript."""
     if not text.isdecimal():
         raise ValueError(text)
     return int(text)
