@@ -310,6 +310,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_suite)
 
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact numbers print at any length
     if "order" in args and args.order < 1:
         print("error: -N must be at least 1", file=sys.stderr)
         return 2

@@ -61,8 +61,8 @@ from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
 from .solver import (SDSE, INCONSISTENT, SystemFormatError, _exprs_equal,
-                     _lines, check_hopf, extract_lambda, rescale_variable,
-                     solve)
+                     _lines, _natural, _read, check_hopf, extract_lambda,
+                     rescale_variable, solve)
 from .trees import Decoration, ladder, single
 
 
@@ -1010,21 +1010,6 @@ def is_family_text(text: str) -> bool:
     for _, line in _lines(text):
         return line.split()[0] == "family"
     return False
-
-
-def _read(cast, text: str, where: str, what: str):
-    """cast(text), or a format error reporting 'bad <what>'."""
-    try:
-        return cast(text)
-    except (ValueError, ZeroDivisionError):
-        raise SystemFormatError(f"{where}: bad {what}") from None
-
-
-def _natural(text: str) -> int:
-    """A plain decimal numeral: no sign, blank, underscore or superscript."""
-    if not text.isdecimal():
-        raise ValueError(text)
-    return int(text)
 
 
 def _fields(tokens, where: str, owner: str, required, optional=(),

@@ -253,19 +253,15 @@ def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
 def tree_weight(lam, mu, t: Tree) -> Fraction:
     """Multiplier sending a tree to a letter: leaves weigh 1, an inner
     vertex of degree j with m children contributes falling_product(m, j).
+    Filled in per subtree by _fill_tables, which needs no recursion."""
+    def build(node, table):
+        out = falling_product(lam, mu, len(node.children),
+                              node.decoration.degree)
+        for child, run in itertools.groupby(node.children):
+            out *= table[child] ** len(tuple(run))
+        return out
 
-    Walked with an explicit stack so that deep ladders stay clear of the
-    recursion limit.
-    """
-    out = ONE
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if node.children:
-            todo.extend(node.children)
-            out *= falling_product(lam, mu, len(node.children),
-                                   node.decoration.degree)
-    return out
+    return _fill_tables({}, (t,), build)[t]
 
 
 def fdb_image(lam, mu, x, *, weights=None) -> WordSum:

@@ -12,6 +12,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .linear import ForestSum, LinComb, _accumulate
@@ -301,42 +302,36 @@ def num(v) -> Num:
 
 
 def ast_sum(terms):
-    terms = list(terms)
-    if not terms:
-        return Num(Fraction(0))
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
+    return reduce(Add, list(terms) or [Num(Fraction(0))])
 
 
 def ast_product(factors):
-    factors = list(factors)
-    if not factors:
-        return Num(Fraction(1))
-    out = factors[0]
-    for f in factors[1:]:
-        out = Mul(out, f)
-    return out
+    return reduce(Mul, list(factors) or [Num(Fraction(1))])
 
 
-_LEAVES = (Num, Var, Param)
-_PARTS = {cls: cls._fields for cls in (Neg, Add, Sub, Mul, Pow, Exp, Log)}
+def _fold(e, rules: dict, leaf):
+    """Post-order value of e: rules[type] of a node's children's values, in
+    field order, or leaf(node) for a type without a rule.  An explicit stack
+    keeps long sums and products clear of the recursion limit."""
+    values = []
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:  # (rule, arity): its children are done
+            rule, arity = node
+            values[-arity:] = [rule(*values[-arity:])]
+            continue
+        rule = rules.get(node.__class__)
+        if rule is None:
+            values.append(leaf(node))
+        else:
+            parts = node._values()
+            todo.append((rule, len(parts)))
+            todo.extend(reversed(parts))
+    return values.pop()
 
 
-def _parts(e):
-    """Child expressions of an inner node, in field order."""
-    names = _PARTS.get(type(e))
-    if names is None:
-        raise EvaluationError(f"unknown node {e!r}")
-    return [getattr(e, name) for name in names]
-
-
-def _rebuild(e, leaf):
-    """Bottom-up copy of e with each leaf node replaced by leaf(node)."""
-    if isinstance(e, _LEAVES):
-        return leaf(e)
-    return type(e)(*(_rebuild(part, leaf) for part in _parts(e)))
+_REBUILD = {cls: cls for cls in (Neg, Add, Sub, Mul, Pow, Exp, Log)}
 
 
 def _constant_power(c: Fraction, r: Fraction) -> Fraction:
@@ -368,31 +363,33 @@ def _constant_log(c: Fraction) -> Fraction:
 
 _RING = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
          Mul: operator.mul}
-_CONSTANT_OPS = {**_RING, Exp: _constant_exp, Log: _constant_log}
+# a constant power reads its base first; a series power is a leaf, which
+# reads its constant exponent before the base
+_CONSTANT_OPS = {**_RING, Pow: _constant_power, Exp: _constant_exp,
+                 Log: _constant_log}
 _SERIES_OPS = {**_RING, Exp: TruncatedSeries.exp, Log: TruncatedSeries.log}
 
 
 def _evaluate(e, q, space=None):
     """Value of e: a Fraction when space is None, else a TruncatedSeries in
     space = (nvars, trunc)."""
-    if isinstance(e, Param):
-        if q is None:
-            raise EvaluationError("parameter q left uninstantiated")
-        e = Num(Fraction(q))
-    if isinstance(e, Num):
-        return e.value if space is None else TruncatedSeries.const(*space, e.value)
-    if isinstance(e, Var):
-        if space is None:
-            raise EvaluationError("variable inside a constant context")
-        return TruncatedSeries.var(*space, e.index)
-    if isinstance(e, Pow) and space is None:
-        c = _evaluate(e.base, q)
-        return _constant_power(c, _evaluate(e.exponent, q))
-    if isinstance(e, Pow):
-        r = _evaluate(e.exponent, q)  # a constant, read before the base
-        return _evaluate(e.base, q, space).pow_rational(r)
-    args = [_evaluate(part, q, space) for part in _parts(e)]
-    return (_CONSTANT_OPS if space is None else _SERIES_OPS)[type(e)](*args)
+    def leaf(e):
+        if isinstance(e, Param):
+            if q is None:
+                raise EvaluationError("parameter q left uninstantiated")
+            e = Num(Fraction(q))
+        if isinstance(e, Num):
+            return e.value if space is None else TruncatedSeries.const(*space, e.value)
+        if isinstance(e, Var):
+            if space is None:
+                raise EvaluationError("variable inside a constant context")
+            return TruncatedSeries.var(*space, e.index)
+        if isinstance(e, Pow):
+            r = _evaluate(e.exponent, q)
+            return _evaluate(e.base, q, space).pow_rational(r)
+        raise EvaluationError(f"unknown node {e!r}")
+
+    return _fold(e, _CONSTANT_OPS if space is None else _SERIES_OPS, leaf)
 
 
 def expr_const(e, q: Optional[int] = None) -> Fraction:
@@ -404,6 +401,30 @@ def expr_series(e, nvars: int, trunc: int, q: Optional[int] = None) -> Truncated
     return _evaluate(e, q, (nvars, trunc))
 
 
+def _bounded(combine):
+    return lambda *parts: None if None in parts else combine(*parts)
+
+
+def _degree_leaf(e):
+    if not isinstance(e, Pow):
+        return 1 if isinstance(e, Var) else 0
+    base = expr_degree_bound(e.base)
+    if base == 0:
+        return 0
+    try:
+        r = expr_const(e.exponent)
+    except EvaluationError:
+        return None
+    if base is None or r.denominator != 1 or r < 0:
+        return None
+    return base * r.numerator
+
+
+_DEGREE_RULES = {Neg: lambda a: a, Add: _bounded(max), Sub: _bounded(max),
+                 Mul: _bounded(operator.add),
+                 **dict.fromkeys((Exp, Log), lambda a: 0 if a == 0 else None)}
+
+
 def expr_degree_bound(e) -> Optional[int]:
     """Upper bound on the total degree of e as a polynomial, or None.
 
@@ -412,38 +433,19 @@ def expr_degree_bound(e) -> Optional[int]:
     the multiple.  exp, log and any other power of a nonconstant base are
     not polynomials and have no bound.
     """
-    if isinstance(e, _LEAVES):
-        return 1 if isinstance(e, Var) else 0
-    if isinstance(e, Pow):
-        base = expr_degree_bound(e.base)
-        if base == 0:
-            return 0
-        try:
-            r = expr_const(e.exponent)
-        except EvaluationError:
-            return None
-        if base is None or r.denominator != 1 or r < 0:
-            return None
-        return base * r.numerator
-    parts = [expr_degree_bound(part) for part in _parts(e)]
-    if None in parts:
-        return None
-    if isinstance(e, Mul):
-        return sum(parts)
-    if isinstance(e, (Exp, Log)):
-        return 0 if parts == [0] else None
-    return max(parts)
+    return _fold(e, _DEGREE_RULES, _degree_leaf)
+
+
+_ANY_PART = dict.fromkeys(_REBUILD, lambda *parts: any(parts))
 
 
 def expr_uses_param(e) -> bool:
-    if isinstance(e, _LEAVES):
-        return isinstance(e, Param)
-    return any(expr_uses_param(part) for part in _parts(e))
+    return _fold(e, _ANY_PART, lambda x: isinstance(x, Param))
 
 
 def expr_map_vars(e, fn):
     """Rebuild the expression with each Var node replaced by fn(index)."""
-    return _rebuild(e, lambda leaf: fn(leaf.index) if isinstance(leaf, Var) else leaf)
+    return _fold(e, _REBUILD, lambda x: fn(x.index) if isinstance(x, Var) else x)
 
 
 def expr_rescale_var(e, j: int, factor):
@@ -454,7 +456,7 @@ def expr_rescale_var(e, j: int, factor):
 
 def expr_instantiate(e, q: int):
     """Replace the parameter q by a concrete integer, returning a new tree."""
-    return _rebuild(e, lambda leaf: Num(Fraction(q)) if isinstance(leaf, Param) else leaf)
+    return _fold(e, _REBUILD, lambda x: Num(Fraction(q)) if isinstance(x, Param) else x)
 
 
 def expr_at_zero(e):
@@ -580,11 +582,11 @@ def _atomic(e) -> bool:
     return isinstance(e, (Var, Param)) or (isinstance(e, Num) and e.value >= 0)
 
 
-_TEXT = {Neg: "-({})", Add: "({}+{})", Sub: "({}-{})", Mul: "({}*{})",
-         Exp: "exp({})", Log: "log({})"}
+_TEXT = {Neg: "-({})".format, Add: "({}+{})".format, Sub: "({}-{})".format,
+         Mul: "({}*{})".format, Exp: "exp({})".format, Log: "log({})".format}
 
 
-def expr_text(e) -> str:
+def _text_leaf(e) -> str:
     if isinstance(e, Num):
         return str(e.value)
     if isinstance(e, Var):
@@ -598,5 +600,8 @@ def expr_text(e) -> str:
         else:
             ex = f"({expr_text(e.exponent)})"
         return f"{base}^{ex}"
-    parts = [expr_text(part) for part in _parts(e)]
-    return _TEXT[type(e)].format(*parts)
+    raise EvaluationError(f"unknown node {e!r}")
+
+
+def expr_text(e) -> str:
+    return _fold(e, _TEXT, _text_leaf)

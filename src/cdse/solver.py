@@ -766,6 +766,21 @@ def _lines(text: str):
             yield lineno, line
 
 
+def _read(cast, text: str, where: str, what: str):
+    """cast(text), or a format error reporting 'bad <what>'."""
+    try:
+        return cast(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemFormatError(f"{where}: bad {what}") from None
+
+
+def _natural(text: str) -> int:
+    """A plain decimal numeral: no sign, blank, underscore or superscript."""
+    if not text.isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_system_text(text: str, strict: bool = True) -> SDSE:
     """Read the line-oriented system format.
 
@@ -783,20 +798,22 @@ def parse_system_text(text: str, strict: bool = True) -> SDSE:
         def fail(msg):
             raise SystemFormatError(f"line {lineno}: {msg}")
 
+        def number(token, what, least=0):
+            n = _read(_natural, token, f"line {lineno}", what)
+            if n < least:
+                fail(f"bad {what}")
+            return n
+
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "vars":
             if nvars is not None:
                 fail("repeated vars line")
-            if not rest.isdigit() or int(rest) < 1:
-                fail(f"bad equation count {rest!r}")
-            nvars = int(rest)
+            nvars = number(rest, f"equation count {rest!r}", 1)
         elif head == "eq":
             if nvars is None:
                 fail("eq before vars")
-            if not rest.isdigit():
-                fail(f"bad equation index {rest!r}")
-            current = int(rest)
+            current = number(rest, f"equation index {rest!r}")
             if not 1 <= current <= nvars:
                 fail(f"equation index {current} out of range")
         elif head in ("op", "ops"):
@@ -811,15 +828,15 @@ def parse_system_text(text: str, strict: bool = True) -> SDSE:
             except ParseError as exc:
                 fail(str(exc))
             if head == "op":
-                if not spec.isdigit() or int(spec) < 1:
-                    fail(f"bad operator degree {spec!r}")
+                q = number(spec, f"operator degree {spec!r}", 1)
                 if expr_uses_param(expr):
                     fail("q is only legal inside an 'ops' family template")
-                triples.append((current, int(spec), expr))
+                triples.append((current, q, expr))
             else:
-                if not spec.endswith("..") or not spec[:-2].isdigit():
-                    fail(f"bad family range {spec!r} (want 'q0..')")
-                families.append((current, int(spec[:-2]), expr))
+                what = f"family range {spec!r} (want 'q0..')"
+                if not spec.endswith(".."):
+                    fail(f"bad {what}")
+                families.append((current, number(spec[:-2], what), expr))
         else:
             fail(f"unknown directive {head!r}")
     if nvars is None:

@@ -199,20 +199,16 @@ def _fill_tables(tables: dict, roots, build) -> dict:
 # ---------------------------------------------------------------- symmetry
 
 def tree_symmetry(t: Tree) -> int:
-    """Order of the automorphism group of t fixing the root.
+    """Order of the automorphism group of t fixing the root: the product,
+    over every vertex, of mult! for each run of mult equal children."""
+    def build(node, table):
+        s = 1
+        for child, run in groupby(node.children):
+            mult = len(tuple(run))
+            s *= math.factorial(mult) * table[child] ** mult
+        return s
 
-    The product, over every vertex, of mult! for each run of mult equal
-    children; walked with an explicit stack so that deep ladders stay clear
-    of the recursion limit.
-    """
-    s = 1
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        todo.extend(node.children)
-        for _, run in groupby(node.children):
-            s *= math.factorial(len(tuple(run)))
-    return s
+    return _fill_tables({}, (t,), build)[t]
 
 
 def forest_symmetry(f: Forest) -> int:
@@ -234,13 +230,9 @@ def _trees_table(decs: tuple, n: int) -> tuple:
     table = [()] * (n + 1)
     pool: list[Tree] = []  # trees of degree < m, ascending degree
     for m in range(1, n + 1):
-        new = []
-        for dec in decs:
-            if dec.degree > m:
-                continue
-            for kids in _multisets(tuple(pool), m - dec.degree, 0):
-                new.append(Tree(dec, kids))
-        table[m] = tuple(sorted(new, key=lambda t: t.key))
+        # drawn in order from a canonically ordered pool: no sort needed
+        table[m] = tuple(Tree(dec, kids) for dec in decs if dec.degree <= m
+                         for kids in _multisets(tuple(pool), m - dec.degree, 0))
         pool.extend(table[m])
     return tuple(table)
 
@@ -273,8 +265,7 @@ def forests_of_degree(decorations, n: int) -> tuple:
         return (EMPTY_FOREST,)
     table = _trees_table(_as_decorations(decorations), n)
     pool = [t for ts in table for t in ts]  # by degree, then key
-    out = [Forest(kids) for kids in _multisets(tuple(pool), n, 0)]
-    return tuple(sorted(out, key=lambda f: f.key))
+    return tuple(Forest(kids) for kids in _multisets(tuple(pool), n, 0))
 
 
 # ------------------------------------------------------------ serialization
@@ -315,7 +306,7 @@ def _skip_ws(s: str, pos: int) -> int:
 
 def _parse_int(s: str, pos: int) -> tuple[int, int]:
     start = pos
-    while pos < len(s) and s[pos].isdigit():
+    while pos < len(s) and s[pos].isdecimal():
         pos += 1
     if pos == start:
         raise TreeSyntaxError(f"expected integer at position {start}: {s!r}")

@@ -340,6 +340,73 @@ def test_deep_nesting_is_an_input_error(capsys):
     assert "recursion" in err
 
 
+# a flat sum is long but not nested: its walks need no recursion
+LONG_SUM = " + ".join(["h1"] * 3000 + ["1/2*h1^2"] * 3000)
+LONG_SYSTEM = f"vars 1\neq 1\n  op 1 : 1 + {LONG_SUM}\n  op 2 : 1 + {LONG_SUM}\n"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("solve", 0), ("check-hopf", 1), ("lambda", 1), ("classify", 1),
+    ("build", 0),
+])
+def test_long_operators_run_through_every_command(tmp_path, capsys, command,
+                                                  code):
+    path = tmp_path / "long.sdse"
+    path.write_text(LONG_SYSTEM)
+    got, out, err = run(capsys, command, str(path))
+    assert (got, err) == (code, "")
+    assert out
+
+
+def test_a_330_term_operator_solves(capsys):
+    code, out, err = run(capsys, "solve", "vars 1\neq 1\n  op 1 : 1 + "
+                         + " + ".join(["h1"] * 330) + "\n", "-N", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "x_1(2) = 330 * (1.1: (1.1:))"
+
+
+# superscript digits pass str.isdigit but not int(); the ASCII messages pin
+# that reading through str.isdecimal kept them
+@pytest.mark.parametrize("text, message", [
+    ("vars ²\n", "line 1: bad equation count '²'"),
+    ("vars 1\neq ²\n", "line 2: bad equation index '²'"),
+    ("vars 1\neq 1\n  op ² : 1 + h1\n", "line 3: bad operator degree '²'"),
+    ("vars 1\neq 1\n  ops ².. : 1 + h1\n",
+     "line 3: bad family range '²..' (want 'q0..')"),
+    ("vars 0\n", "line 1: bad equation count '0'"),
+    ("vars 1\neq x\n", "line 2: bad equation index 'x'"),
+    ("vars 1\neq 1\n  op 0 : 1 + h1\n", "line 3: bad operator degree '0'"),
+    ("vars 1\neq 1\n  ops 1 : 1 + h1\n",
+     "line 3: bad family range '1' (want 'q0..')"),
+    ("vars 1\neq 1\n  ops x.. : 1 + h1\n",
+     "line 3: bad family range 'x..' (want 'q0..')"),
+])
+def test_system_numbers_are_plain_decimals(capsys, text, message):
+    code, out, err = run(capsys, "build", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_5000_digit_literal_is_read_and_printed(capsys):
+    digits = "9" * 5000
+    code, out, err = run(capsys, "solve", f"vars 1\neq 1\n  op 1 : 1 + {digits}*h1\n",
+                         "-N", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"x_1(2) = {digits} * (1.1: (1.1:))"
+
+
+def test_a_coefficient_of_4395_digits_prints(capsys):
+    # x_1(5) = 7^-5200 on the ladder: past Python's default limit of 4,300
+    # digits for int/str conversion
+    code, out, err = run(capsys, "solve", "vars 1\neq 1\n  op 1 : 1 + 1/7^1300*h1\n",
+                         "-N", "5")
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    denominator = last.split(" = 1/", 1)[1].split(" ", 1)[0]
+    assert len(denominator) == 4395
+    assert int(denominator) == 7 ** 5200
+    assert last.endswith(" * (1.1: (1.1: (1.1: (1.1: (1.1:)))))")
+
+
 def test_deep_ladder_solution_prints(capsys):
     N = 1500
     code, out, err = run(capsys, "solve", "vars 1\neq 1\n  op 1 : 1 + h1\n",

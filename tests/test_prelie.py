@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cdse import (
     Decoration,
@@ -597,11 +597,15 @@ def _vertex_factors(lam, mu, t):
 
 
 WEIGHT_TREES = (trees_up_to((A, Decoration(1, 2), Decoration(2, 3)), 6)
-                + [ladder(*[(1, 1 + k % 2) for k in range(1500)])])
+                + [Tree(A, [leaf(1)] * 1000),
+                   Tree(A, [Tree(A, (leaf(1), leaf(1, 2)))] * 1000),
+                   ladder(*[(1, 1 + k % 2) for k in range(1500)])])
 
 
 @given(st.sampled_from(WEIGHT_TREES), st.fractions(-3, 3, max_denominator=4),
        st.fractions(-3, 3, max_denominator=4))
+@example(WEIGHT_TREES[-3], F(3, 2), F(-1, 4))  # the 1000-leaf corolla
+@example(WEIGHT_TREES[-2], F(-2, 3), F(1, 2))
 def test_tree_weight_is_the_product_over_vertices(t, lam, mu):
     assert tree_weight(lam, mu, t) == _vertex_factors(lam, mu, t)
 

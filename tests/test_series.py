@@ -21,8 +21,9 @@ from cdse import (
     substitute,
 )
 from cdse.series import (
-    Add, Mul, Neg, Num, Param, Pow, Var,
-    expr_const, expr_degree_bound, expr_instantiate, num,
+    Add, Mul, Neg, Num, Param, Pow, Var, ast_product, ast_sum,
+    expr_const, expr_degree_bound, expr_instantiate, expr_rescale_var,
+    expr_uses_param, num,
 )
 
 S = TruncatedSeries
@@ -330,3 +331,57 @@ def test_unary_minus_folds_into_literals():
     # exponents keep a plain numeric node, so text round-trips structurally
     e = parse_expr("(1 + h1)^-1")
     assert parse_expr(expr_text(e)) == e
+
+
+# ------------------------------------------------------- long expressions
+#
+# A flat sum or product of n terms is a chain n nodes deep.  Every walk goes
+# through one fold with an explicit stack, so n = 5000 stays clear of the
+# recursion limit.  Expressions this deep are compared by value or text:
+# record equality itself recurses.
+
+FLAT = 5000
+ONE_PLUS_H = Add(num(1), Var(1))
+
+
+def test_a_flat_sum_of_5000_terms_needs_no_recursion():
+    n = FLAT
+    e = ast_sum([num(1)] + [Var(1)] * (n - 1))
+    assert expr_series(e, 1, 2) == S(1, 2, {(0,): 1, (1,): n - 1})
+    assert expr_degree_bound(e) == 1
+    assert not expr_uses_param(e)
+    assert expr_text(e) == "(" * (n - 1) + "1" + "+h1)" * (n - 1)
+    tripled = expr_rescale_var(e, 1, 3)
+    assert expr_series(tripled, 1, 2) == S(1, 2, {(0,): 1, (1,): 3 * (n - 1)})
+    assert expr_text(tripled) == "(" * (n - 1) + "1" + "+(3*h1))" * (n - 1)
+    qs = ast_sum([Param()] * n)
+    assert expr_uses_param(qs) and expr_degree_bound(qs) == 0
+    assert expr_const(qs, 2) == 2 * n
+    assert expr_series(qs, 1, 3, 2) == sconst(2 * n, trunc=3)
+    twos = expr_instantiate(qs, 2)
+    assert not expr_uses_param(twos)
+    assert expr_const(twos) == 2 * n
+    assert expr_text(twos) == "(" * (n - 1) + "2" + "+2)" * (n - 1)
+
+
+def test_a_flat_product_of_5000_factors_needs_no_recursion():
+    n = FLAT
+    e = ast_product([ONE_PLUS_H] * n)  # (1 + h1)^n
+    assert expr_series(e, 1, 2) == S(1, 2, {(0,): 1, (1,): n,
+                                            (2,): math.comb(n, 2)})
+    assert expr_degree_bound(e) == n
+    assert not expr_uses_param(e)
+    assert expr_text(e) == "(" * (n - 1) + "(1+h1)" + "*(1+h1))" * (n - 1)
+    doubled = expr_rescale_var(e, 1, 2)
+    assert expr_series(doubled, 1, 2) == S(1, 2, {(0,): 1, (1,): 2 * n,
+                                                  (2,): 4 * math.comb(n, 2)})
+    qs = ast_product([Param()] * n)
+    assert expr_uses_param(qs) and expr_degree_bound(qs) == 0
+    assert expr_const(qs, -1) == (-1) ** n
+    signs = expr_instantiate(qs, -1)
+    assert not expr_uses_param(signs)
+    assert expr_const(signs) == (-1) ** n
+    assert expr_text(signs) == "(" * (n - 1) + "-1" + "*-1)" * (n - 1)
+    # a long product inside a power is read by a nested fold of the base
+    assert expr_degree_bound(Pow(e, num(3))) == 3 * n
+    assert expr_series(Pow(e, num(-1)), 1, 1) == S(1, 1, {(0,): 1, (1,): -n})

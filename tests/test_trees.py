@@ -251,9 +251,12 @@ def test_symmetry_small_cases():
     assert tree_symmetry(Tree(A, (leaf(1), leaf(2)))) == 1
     corolla4 = Tree(A, tuple(leaf(1) for _ in range(4)))
     assert tree_symmetry(corolla4) == math.factorial(4)
+    assert tree_symmetry(Tree(A, [leaf(1)] * 1000)) == math.factorial(1000)
     # two identical branches that are themselves symmetric
     branch = Tree(A, (leaf(1), leaf(1)))
     assert tree_symmetry(Tree(B, (branch, branch))) == 2 * 2 * 2
+    assert tree_symmetry(Tree(B, [branch] * 1000 + [leaf(1)])) == (
+        math.factorial(1000) * 2 ** 1000)
 
 
 def test_deep_ladder_symmetry_stays_clear_of_the_recursion_limit():
@@ -327,6 +330,19 @@ def test_enumeration_is_sorted_and_duplicate_free():
     assert list(fs) == sorted(set(fs), key=lambda f: f.key)
 
 
+@pytest.mark.parametrize("decorations", [
+    [(1, 1)], [(1, 2)], [(1, 1), (1, 2)], [(1, 1), (2, 1)],
+    [(2, 1), (1, 3), (1, 1)], [(1, 2), (2, 1), (3, 3)],
+])
+def test_enumeration_comes_out_in_canonical_order(decorations):
+    # both draw from a pool in canonical order and never sort their output
+    for n in range(1, 8):
+        ts = trees_of_degree(decorations, n)
+        assert list(ts) == sorted(ts, key=lambda t: t.key)
+        fs = forests_of_degree(decorations, n)
+        assert list(fs) == sorted(fs, key=lambda f: f.key)
+
+
 # ------------------------------------------------------------- text format
 
 def test_text_examples():
@@ -371,6 +387,8 @@ def test_parse_tolerates_spacing():
 @pytest.mark.parametrize("bad", [
     "", "(", "(1.1", "(1:)", "(1.1:", "(1.1:))", "(x.1:)",
     "(1.1:) extra", "1 (1.1:)",
+    # '²' passes str.isdigit, but int() rejects it
+    "(².1:)", "(1.²:)", "(1.1: (²2.1:))",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(TreeSyntaxError):
