@@ -707,3 +707,91 @@ def test_reachable_degrees():
     assert reachable_degrees({2}, 2, 8) == [2, 4, 6, 8]
     assert reachable_degrees({1}, 2, 6) == [1]
     assert reachable_degrees({1}, 1, 4) == [1, 2, 3, 4]
+
+
+# ------------------------------------------- every product on mixed sums
+
+MIXED = (F(1, 3), F(-5, 2), F(6))
+WORD_LAMBDA_MU = ((F(3, 2), F(-1, 4)), (F(1, 3), F(1, 2)))
+
+
+def _expansion(product, x, y):
+    """product(x, y) expanded over basis pairs through scale and add_scaled."""
+    cls = type(x)
+    out = cls()
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            out.add_scaled(product(cls.term(kx), cls.term(ky)).scale(cx), cy)
+    return out
+
+
+def _exact(x):
+    """x, once every coefficient is a nonzero Fraction."""
+    assert all(type(c) is Fraction and c for c in x.terms.values())
+    return x
+
+
+def _cancelling(product, cls, keys):
+    """Sums x = c1 k1 + c2 k2 and y = d1 l1 + d2 l2 whose product has a
+    term K that cancels: K lies in product(k1, l1) and product(k2, l2) but
+    in neither cross product, and d2 is chosen to cancel it."""
+    def basis(k, l):
+        return product(cls.term(k), cls.term(l)).terms
+
+    for k1, l1, k2, l2 in itertools.product(keys, repeat=4):
+        if k1 == k2 or l1 == l2:
+            continue
+        p11, p22 = basis(k1, l1), basis(k2, l2)
+        cross = basis(k1, l2).keys() | basis(k2, l1).keys()
+        for K in p11:
+            if K in p22 and K not in cross:
+                c1, c2, d1 = MIXED
+                d2 = -c1 * d1 * p11[K] / (c2 * p22[K])
+                return cls({k1: c1, k2: c2}), cls({l1: d1, l2: d2}), K
+    raise AssertionError("no cancelling pair among the keys")
+
+
+def _check_on_mixed_sums(product, cls, left, right, keys):
+    x, y = cls(zip(left, MIXED)), cls(zip(right, MIXED))
+    assert _exact(product(x, y)) == _expansion(product, x, y)
+    assert product(cls(), y) == cls() == product(x, cls())
+    x, y, K = _cancelling(product, cls, keys)
+    got = _exact(product(x, y))
+    assert K not in got.terms
+    assert got == _expansion(product, x, y)
+
+
+@pytest.mark.parametrize("product", [circ, circ_recursive, star])
+def test_forest_products_on_mixed_sums(product):
+    a, b = leaf(1), Tree(B)
+    left = [Forest((a,)), Forest((Tree(A, (b,)),)), Forest((a, b))]
+    right = [Forest(()), Forest((Tree(B, (a,)),)), Forest((a, Tree(A, (a,))))]
+    keys = [f for f in forests_up_to(TWO_LABELS, 2) if f.trees]
+    _check_on_mixed_sums(product, ForestSum, left, right, keys)
+
+
+def test_graft_on_trees_is_circ_with_exact_counts():
+    trees = trees_up_to(TWO_LABELS, 3)
+    for t, u in itertools.product(trees, repeat=2):
+        assert _exact(graft(t, u)) == circ(tfs(t), tfs(u))
+
+
+@pytest.mark.parametrize("lam, mu", WORD_LAMBDA_MU)
+@pytest.mark.parametrize("product", [fdb_circ, fdb_circ_recursive])
+def test_word_products_on_mixed_sums(product, lam, mu):
+    def at(x, y):
+        return product(lam, mu, x, y)
+
+    left = [(), (1, 2), (2, 2)]
+    right = [(1,), (3,), (1, 1)]
+    keys = [(1,), (2,), (1, 1), (1, 2)]
+    _check_on_mixed_sums(at, WordSum, left, right, keys)
+
+
+@pytest.mark.parametrize("modulus", [1, 2])
+def test_gated_product_on_mixed_sums(modulus):
+    def at(x, y):
+        return affine_circ(modulus, F(-2, 3), x, y)
+
+    letters = [(1,), (2,), (3,), (4,)]
+    _check_on_mixed_sums(at, WordSum, letters[:3], letters[1:], letters)
