@@ -55,12 +55,40 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # field by field with an explicit stack, so a long chain of nested
+        # records (a flat sum of many terms) is clear of the recursion limit
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if (x.__class__ is y.__class__ and isinstance(x, Record)
+                    and x.__class__.__eq__ is Record.__eq__):
+                todo.extend(zip(x._values(), y._values()))
+            elif not x == y:
+                return False
+        return True
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value!r}" for name, value
-                          in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({inner})"
+        # pieces are (text, True) written as they are or (value, False)
+        # still to print; nested records are opened on the same stack
+        out, todo = [], [(self, False)]
+        while todo:
+            item, written = todo.pop()
+            if written:
+                out.append(item)
+            elif (isinstance(item, Record)
+                  and item.__class__.__repr__ is Record.__repr__):
+                pieces = [(f"{type(item).__qualname__}(", True)]
+                for k, (name, value) in enumerate(zip(item._fields,
+                                                      item._values())):
+                    pieces += [(f"{', ' if k else ''}{name}=", True),
+                               (value, False)]
+                pieces.append((")", True))
+                todo.extend(reversed(pieces))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 class FrozenRecord(Record):
@@ -73,4 +101,24 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        return hash(self._values())
+        """Hash of the fields.  Nested frozen records are hashed first,
+        children before parents on an explicit stack, and enter their
+        parent's field tuple as their hash."""
+        done = {}
+        todo = [self]
+        while todo:
+            node = todo[-1]
+            values = node._values()
+            pending = [v for v in values if _hashed_here(v) and id(v) not in done]
+            if pending:
+                todo.extend(pending)
+                continue
+            todo.pop()
+            done[id(node)] = hash(tuple(done[id(v)] if _hashed_here(v) else v
+                                        for v in values))
+        return done[id(self)]
+
+
+def _hashed_here(value) -> bool:
+    return (isinstance(value, FrozenRecord)
+            and value.__class__.__hash__ is FrozenRecord.__hash__)

@@ -10,7 +10,7 @@ import pytest
 
 from cdse import Case1, Case2, Unclassifiable, Vertex
 from cdse.record import FrozenRecord, Record, fresh
-from cdse.series import Add, Mul, Num, Param, Sub, Var
+from cdse.series import Add, Mul, Num, Param, Sub, Var, ast_sum
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
@@ -105,3 +105,29 @@ def test_fields_follow_the_annotations_in_order():
     assert Bag().items == [] and Bag().items is not Bag().items
     assert Add._fields == ("left", "right") and Param._fields == ()
 
+
+
+def test_long_flat_sums_print_compare_and_hash():
+    """A flat sum of n terms is an n-deep chain of Add nodes; repr, == and
+    hash walk it without recursing once per level."""
+    n = 5000
+    x, y = ast_sum([Var(1)] * n), ast_sum([Var(1)] * n)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != ast_sum([Var(1)] * (n - 1) + [Var(2)])
+    assert x != ast_sum([Var(1)] * (n - 1) + [Num(Fraction(1))])
+    text = repr(x)
+    assert text == "Add(left=" * (n - 1) + "Var(index=1)" + (
+        ", right=Var(index=1))" * (n - 1))
+    assert len({x, y, ast_sum([Var(1)] * (n + 1))}) == 2
+
+
+def test_nested_equality_and_repr_reach_fields_that_are_not_records():
+    a = Case1(Fraction(1), Fraction(2), frozenset({1}), frozenset())
+    assert a == Case1(1, 2, frozenset({1}), frozenset())
+    assert a != Case1(1, 2, frozenset({1, 2}), frozenset())
+    assert Add(Num(Fraction(1)), Var(2)) != Add(Num(Fraction(2)), Var(2))
+    # a field holding a record of another class compares unequal
+    assert Add(Var(1), Num(Fraction(1))) != Add(Var(1), Param())
+    assert repr(Vertex(2, "scaled", a={1: Fraction(1, 2)})) == (
+        "Vertex(index=2, kind='scaled', beta=None, nu=None, "
+        "a={1: Fraction(1, 2)}, degrees=(1,), all_from=None)")
