@@ -14,7 +14,6 @@ coproduct and reduced_coproduct, linear in a forest sum, return Fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .linear import ForestSum, TensorSum
@@ -58,17 +57,14 @@ def coproduct(x: ForestSum) -> TensorSum:
 
     The coproduct of each distinct subtree is built once, for this call.
     The cut counts are summed as ints over the common denominator of x's
-    coefficients, so each term of the result costs one Fraction.
+    coefficients (TensorSum._from_counts), so each term of the result costs
+    one Fraction.
     """
     tables = _fill_tables({}, (t for f in x.terms for t in f.trees),
                           _tree_cuts)
-    den = math.lcm(*(c.denominator for c in x.terms.values()))
-    acc = {}
-    for f, c in x.terms.items():
-        m = c.numerator * (den // c.denominator)
-        for key, n in _forest_cuts(f.trees, tables).terms.items():
-            acc[key] = acc.get(key, 0) + m * n
-    return TensorSum._like({key: Fraction(v, den) for key, v in acc.items() if v})
+    return TensorSum._from_counts(
+        (c.numerator, c.denominator, _forest_cuts(f.trees, tables).terms)
+        for f, c in x.terms.items())
 
 
 def reduced_coproduct(x: ForestSum) -> TensorSum:

@@ -7,6 +7,7 @@ coefficients are dropped eagerly so equality is dictionary equality.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .trees import EMPTY_FOREST, Forest, Tree, forest_text, single
@@ -36,6 +37,9 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        if not terms:
+            self.terms = {}
+            return
         if isinstance(terms, dict):
             terms = terms.items()
         self.terms = _accumulate({}, (
@@ -50,8 +54,36 @@ class LinComb:
         return res
 
     @classmethod
+    def _from_counts(cls, parts) -> "LinComb":
+        """Sum of n/d times counts over the parts (n, d, counts), counts a
+        dict of int coefficients.  The sum runs in ints over a common
+        denominator, raised to the lcm of the d as the parts arrive, and
+        each nonzero term of the result is one Fraction."""
+        den, acc = 1, {}
+        for n, d, counts in parts:
+            if den % d:
+                step = d // math.gcd(den, d)
+                den *= step
+                for key in acc:
+                    acc[key] *= step
+            m = n * (den // d)
+            for key, c in counts.items():
+                acc[key] = acc.get(key, 0) + m * c
+        return cls._like({key: Fraction(v, den)
+                          for key, v in acc.items() if v})
+
+    def _counts(self):
+        """(den, counts): the coefficients as ints over the lcm of their
+        denominators, the one-part form that _from_counts reads."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, {key: c.numerator * (den // c.denominator)
+                     for key, c in self.terms.items()}
+
+    @classmethod
     def term(cls, key, coeff=ONE):
-        return cls({key: coeff})
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        return cls._like({key: coeff} if coeff else {})
 
     @classmethod
     def zero(cls):
@@ -73,7 +105,8 @@ class LinComb:
         """self += c * other, in place; returns self."""
         pairs = other.terms.items()
         if c != 1:
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             pairs = [(key, coeff * c) for key, coeff in pairs]
         _accumulate(self.terms, pairs)
         return self
@@ -82,14 +115,14 @@ class LinComb:
         return self._like(_accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c) -> "LinComb":
         c = Fraction(c)
         return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._like({key: -c for key, c in self.terms.items()})
 
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, _ZERO)

@@ -15,9 +15,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from numbers import Rational
 
-from .linear import ONE, ForestSum, WordSum
+from .linear import ForestSum, WordSum, _accumulate
 from .trees import (Decoration, Forest, Tree, _fill_tables, single,
                     tree_symmetry, trees_of_degree)
 
@@ -32,13 +34,28 @@ def _as_forest_sum(a) -> ForestSum:
     raise TypeError(f"expected a forest-like value, got {type(a).__name__}")
 
 
-def _bilinear(fn, a, b):
-    """Bilinear extension of fn, a map from two basis keys to a sum."""
-    out = type(a)()
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out.add_scaled(fn(ka, kb), ca * cb)
-    return out
+def _bilinear(kernel, a, b):
+    """Bilinear extension of kernel, the product of two basis keys.
+
+    kernel(ka, kb) returns (den, counts): a dict of int counts over the int
+    den, which in this module depends on ka only (a LinComb's _counts()
+    has that form too).  The products of coefficients and counts are
+    summed as ints (LinComb._from_counts), so the result costs one Fraction
+    per term and none is made before.
+    """
+    def parts():
+        for ka, ca in a.terms.items():
+            na, da = ca.numerator, ca.denominator
+            for kb, cb in b.terms.items():
+                den, counts = kernel(ka, kb)
+                yield na * cb.numerator, da * cb.denominator * den, counts
+
+    return type(a)._from_counts(parts())
+
+
+def _add(acc: dict, counts: dict, c: int) -> None:
+    """acc += c * counts, dropping keys that reach zero."""
+    _accumulate(acc, ((key, c * n) for key, n in counts.items()))
 
 
 def _attach(base: Forest, assignment) -> Forest:
@@ -77,58 +94,61 @@ def _vertex_count(f: Forest) -> int:
     return sum(t.vertices for t in f.trees)
 
 
-def _graft_all(t: Tree, target: Forest) -> ForestSum:
-    """Sum over vertices of target of attaching t below that vertex."""
-    return ForestSum((_attach(target, {v: (t,)}), ONE)
-                     for v in range(_vertex_count(target)))
+# The grafting kernels count: each returns {forest: int}, the forests of
+# one basis product with their multiplicities, and builds no ForestSum.
+
+def _graft_all(t: Tree, target: Forest) -> dict:
+    """Attaching t below each vertex of target, counted."""
+    return Counter(_attach(target, {v: (t,)})
+                   for v in range(_vertex_count(target)))
 
 
 def graft(t: Tree, target: Tree) -> ForestSum:
     """Pre-Lie product of single trees: t grafted at each vertex of target."""
-    return _graft_all(t, single(target))
+    return ForestSum._from_counts(((1, 1, _graft_all(t, single(target))),))
 
 
-def _circ_closed(F: Forest, G: Forest) -> ForestSum:
+def _circ_closed(F: Forest, G: Forest) -> dict:
     # every map from the trees of F (as positions) to the vertices of G
     # contributes one simultaneous grafting
     nv = _vertex_count(G)
     k = len(F.trees)
     if k == 0:
-        return ForestSum.term(G)
-    if nv == 0:
-        return ForestSum.zero()
-    grafts = []
+        return {G: 1}
+    grafts = Counter()
     for targets in itertools.product(range(nv), repeat=k):
         assignment = {}
         for t, v in zip(F.trees, targets):
             assignment.setdefault(v, []).append(t)
-        grafts.append((_attach(G, assignment), ONE))
-    return ForestSum(grafts)
+        grafts[_attach(G, assignment)] += 1
+    return grafts
 
 
 def circ(a, b) -> ForestSum:
     """Extended grafting product, as the closed sum over vertex assignments."""
-    return _bilinear(_circ_closed, _as_forest_sum(a), _as_forest_sum(b))
+    return _bilinear(lambda F, G: (1, _circ_closed(F, G)),
+                     _as_forest_sum(a), _as_forest_sum(b))
 
 
-def _circ_rec(F: Forest, G: Forest) -> ForestSum:
+def _circ_rec(F: Forest, G: Forest) -> dict:
     # peel one tree x off F:  (x F') circ G = x circ (F' circ G)
     #                                        - (x circ F') circ G
     if not F.trees:
-        return ForestSum.term(G)
+        return {G: 1}
     x = F.trees[0]
     rest = Forest(F.trees[1:])
-    out = ForestSum()
-    for H, c in _circ_rec(rest, G).terms.items():
-        out.add_scaled(_graft_all(x, H), c)
-    for K, c in _graft_all(x, rest).terms.items():
-        out.add_scaled(_circ_rec(K, G), -c)
+    out = {}
+    for H, c in _circ_rec(rest, G).items():
+        _add(out, _graft_all(x, H), c)
+    for K, c in _graft_all(x, rest).items():
+        _add(out, _circ_rec(K, G), -c)
     return out
 
 
 def circ_recursive(a, b) -> ForestSum:
     """Same product as circ, computed by the peeling recursion instead."""
-    return _bilinear(_circ_rec, _as_forest_sum(a), _as_forest_sum(b))
+    return _bilinear(lambda F, G: (1, _circ_rec(F, G)),
+                     _as_forest_sum(a), _as_forest_sum(b))
 
 
 def _splits(F: Forest):
@@ -147,10 +167,11 @@ def _splits(F: Forest):
     return out
 
 
-def _star_forests(F: Forest, G: Forest) -> ForestSum:
-    out = ForestSum()
+def _star_forests(F: Forest, G: Forest) -> dict:
+    out = {}
     for left, right, mult in _splits(F):
-        out.add_scaled(ForestSum.term(left) * _circ_closed(right, G), mult)
+        _accumulate(out, ((left * H, mult * n)
+                          for H, n in _circ_closed(right, G).items()))
     return out
 
 
@@ -160,7 +181,8 @@ def star(a, b) -> ForestSum:
     Associative, with the empty forest as unit; dual to the coproduct under
     the symmetry pairing.
     """
-    return _bilinear(_star_forests, _as_forest_sum(a), _as_forest_sum(b))
+    return _bilinear(lambda F, G: (1, _star_forests(F, G)),
+                     _as_forest_sum(a), _as_forest_sum(b))
 
 
 # ------------------------------------------------------------- word algebra
@@ -171,81 +193,104 @@ def _check_word_sum(a) -> WordSum:
     return a
 
 
-def falling_product(lam, mu, m: int, j: int) -> Fraction:
-    """Coefficient picked up when an m-letter word grafts onto e_j:
+def _numerators(lam, mu):
+    """(p, r, d) with lam = p/d and mu = r/d, d the lcm of the two
+    denominators."""
+    lam, mu = (x if isinstance(x, Rational) else Fraction(x)
+               for x in (lam, mu))
+    d = math.lcm(lam.denominator, mu.denominator)
+    return (lam.numerator * (d // lam.denominator),
+            mu.numerator * (d // mu.denominator), d)
 
-    (lam j - mu) (lam j) (lam j + mu) ... (lam j + (m-2) mu),  m factors.
-    """
-    if m == 0:
-        return ONE
-    if not isinstance(lam, Fraction):
-        lam = Fraction(lam)
-    if not isinstance(mu, Fraction):
-        mu = Fraction(mu)
-    out = lam * j - mu
-    for k in range(m - 1):
-        out *= lam * j + k * mu
+
+def _falling(p: int, r: int, m: int, j: int) -> int:
+    """d^m falling_product(p/d, r/d, m, j): each factor lam j + k mu is
+    (p j + k r)/d, so the product of m factors is an int over d^m."""
+    out = 1
+    for k in range(-1, m - 1):
+        out *= p * j + k * r
     return out
 
 
-def _word_on_letters_closed(lam, mu, w, v) -> WordSum:
+def falling_product(lam, mu, m: int, j: int) -> Fraction:
+    """Coefficient picked up when an m-letter word grafts onto e_j:
+
+    (lam j - mu) (lam j) (lam j + mu) ... (lam j + (m-2) mu),  m factors,
+
+    computed as the int _falling over d^m, lam = p/d and mu = r/d.
+    """
+    p, r, d = _numerators(lam, mu)
+    return Fraction(_falling(p, r, m, j), d ** m)
+
+
+# The word kernels count as well: with lam = p/d and mu = r/d, the product
+# of a word w with a word v is {word: int} over d^len(w), since every
+# letter of w brings one factor over d.
+
+def _word_on_letters_closed(p: int, r: int, w, v) -> dict:
     # distribute the letters of w over the positions of v; each block of
-    # size m landing on e_j contributes falling_product(m, j) and advances
-    # that letter by the block sum
+    # size m landing on e_j contributes _falling(m, j) and advances that
+    # letter by the block sum
     n = len(v)
     if n == 0:
-        return WordSum.one() if not w else WordSum.zero()
-    grafts = []
+        return {} if w else {(): 1}
+    grafts = {}
     for targets in itertools.product(range(n), repeat=len(w)):
         sums = [0] * n
         sizes = [0] * n
         for letter, pos in zip(w, targets):
             sums[pos] += letter
             sizes[pos] += 1
-        coeff = ONE
+        coeff = 1
         for pos in range(n):
-            coeff *= falling_product(lam, mu, sizes[pos], v[pos])
+            coeff *= _falling(p, r, sizes[pos], v[pos])
             if not coeff:
                 break
         if coeff:
-            grafts.append((tuple(sorted(v[pos] + sums[pos]
-                                        for pos in range(n))), coeff))
-    return WordSum(grafts)
+            key = tuple(sorted(v[pos] + sums[pos] for pos in range(n)))
+            grafts[key] = grafts.get(key, 0) + coeff
+    return grafts
 
 
 def fdb_circ(lam, mu, a, b) -> WordSum:
-    """Extended product for e_i circ e_j = (lam j - mu) e_{i+j}, closed form."""
-    return _bilinear(lambda w, v: _word_on_letters_closed(lam, mu, w, v),
-                     _check_word_sum(a), _check_word_sum(b))
+    """Extended product for e_i circ e_j = (lam j - mu) e_{i+j}, closed form.
+
+    Each basis pair (w, v) is counted in ints over d^len(w), d the common
+    denominator of lam and mu, and _bilinear makes one Fraction per term.
+    """
+    a, b = _check_word_sum(a), _check_word_sum(b)
+    p, r, d = _numerators(lam, mu)
+    return _bilinear(lambda w, v: (d ** len(w),
+                                   _word_on_letters_closed(p, r, w, v)), a, b)
 
 
-def _letter_on_word(lam, mu, i: int, u) -> WordSum:
-    # single letter acts as a derivation over the word u; fdb_circ_recursive
-    # hands lam and mu over as Fractions
-    return WordSum((tuple(sorted(u[:pos] + (u[pos] + i,) + u[pos + 1:])),
-                    lam * u[pos] - mu)
-                   for pos in range(len(u)))
+def _letter_on_word(p: int, r: int, i: int, u) -> dict:
+    # single letter acts as a derivation over the word u; ints over d
+    return _accumulate({}, (
+        (tuple(sorted(u[:pos] + (u[pos] + i,) + u[pos + 1:])), p * u[pos] - r)
+        for pos in range(len(u))))
 
 
-def _word_circ_rec(lam, mu, w, v) -> WordSum:
+def _word_circ_rec(p: int, r: int, w, v) -> dict:
     if not w:
-        return WordSum.term(v)
+        return {v: 1}
     if not v:
-        return WordSum.zero()
+        return {}
     x, rest = w[0], w[1:]
-    out = WordSum()
-    for u, c in _word_circ_rec(lam, mu, rest, v).terms.items():
-        out.add_scaled(_letter_on_word(lam, mu, x, u), c)
-    for u, c in _letter_on_word(lam, mu, x, rest).terms.items():
-        out.add_scaled(_word_circ_rec(lam, mu, u, v), -c)
+    out = {}
+    for u, c in _word_circ_rec(p, r, rest, v).items():
+        _add(out, _letter_on_word(p, r, x, u), c)
+    for u, c in _letter_on_word(p, r, x, rest).items():
+        _add(out, _word_circ_rec(p, r, u, v), -c)
     return out
 
 
 def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
     """Same word product, by peeling letters instead of the closed sum."""
-    lam, mu = Fraction(lam), Fraction(mu)
-    return _bilinear(lambda w, v: _word_circ_rec(lam, mu, w, v),
-                     _check_word_sum(a), _check_word_sum(b))
+    a, b = _check_word_sum(a), _check_word_sum(b)
+    p, r, d = _numerators(lam, mu)
+    return _bilinear(lambda w, v: (d ** len(w), _word_circ_rec(p, r, w, v)),
+                     a, b)
 
 
 # ------------------------------------------------- trees to words and back
@@ -253,22 +298,29 @@ def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
 def tree_weight(lam, mu, t: Tree) -> Fraction:
     """Multiplier sending a tree to a letter: leaves weigh 1, an inner
     vertex of degree j with m children contributes falling_product(m, j).
-    Filled in per subtree by _fill_tables, which needs no recursion."""
+
+    The children of all vertices number vertices - 1, so the weight is an
+    int over d^(vertices - 1), d the common denominator of lam and mu.  That
+    int is filled in per subtree by _fill_tables, which needs no recursion,
+    and the one Fraction is made at the end.
+    """
+    p, r, d = _numerators(lam, mu)
+
     def build(node, table):
-        out = falling_product(lam, mu, len(node.children),
-                              node.decoration.degree)
+        out = _falling(p, r, len(node.children), node.decoration.degree)
         for child, run in itertools.groupby(node.children):
             out *= table[child] ** len(tuple(run))
         return out
 
-    return _fill_tables({}, (t,), build)[t]
+    return Fraction(_fill_tables({}, (t,), build)[t], d ** (t.vertices - 1))
 
 
 def fdb_image(lam, mu, x, *, weights=None) -> WordSum:
     """Algebra map to words: a tree of degree n goes to tree_weight * e_n.
 
     Each tree is weighed once, into weights: a dict from tree to its
-    tree_weight at this (lam, mu), which calls may share.
+    tree_weight at this (lam, mu), which calls may share.  The products of
+    coefficients and weights are summed as ints, one Fraction per word.
     """
     if weights is None:
         weights = {}
@@ -279,9 +331,14 @@ def fdb_image(lam, mu, x, *, weights=None) -> WordSum:
             got = weights[t] = tree_weight(lam, mu, t)
         return got
 
-    return WordSum((tuple(sorted(t.degree for t in f.trees)),
-                    c * math.prod(weight(t) for t in f.trees))
-                   for f, c in _as_forest_sum(x).terms.items())
+    def part(f, c):
+        ws = [weight(t) for t in f.trees]
+        return (c.numerator * math.prod(w.numerator for w in ws),
+                c.denominator * math.prod(w.denominator for w in ws),
+                {tuple(sorted(t.degree for t in f.trees)): 1})
+
+    return WordSum._from_counts(part(f, c)
+                                for f, c in _as_forest_sum(x).terms.items())
 
 
 def _decorations(J) -> tuple:
@@ -331,12 +388,14 @@ def affine_circ(modulus: int, alpha, a, b) -> WordSum:
     Defined on single letters only; unlike the two-parameter family it is
     associative on the nose.
     """
-    alpha = Fraction(alpha)
+    if not isinstance(alpha, Rational):
+        alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
 
     def letters(wa, wb):
         if len(wa) != 1 or len(wb) != 1:
             raise ValueError("gated product is defined on letters only")
-        return WordSum() if wb[0] % modulus else WordSum.gen(wa[0] + wb[0], alpha)
+        return den, {} if wb[0] % modulus else {(wa[0] + wb[0],): num}
 
     return _bilinear(letters, _check_word_sum(a), _check_word_sum(b))
 

@@ -109,7 +109,8 @@ class FrozenRecord(Record):
         while todo:
             node = todo[-1]
             values = node._values()
-            pending = [v for v in values if _hashed_here(v) and id(v) not in done]
+            pending = [v for v in values
+                       if _hashed_here(v) and id(v) not in done]
             if pending:
                 todo.extend(pending)
                 continue

@@ -55,8 +55,8 @@ def pre_lie_identity(pool) -> Outcome:
     Every circ is expanded bilinearly over basis pairs of forests, each
     computed once per call; each triple is still one check.
     """
-    product = partial(_bilinear, cache(lambda F, G: circ(ForestSum.term(F),
-                                                         ForestSum.term(G))))
+    product = partial(_bilinear, cache(lambda F, G: circ(
+        ForestSum.term(F), ForestSum.term(G))._counts()))
     checks, failures = 0, []
     for a, b, c in pool:
         checks += 1
@@ -100,20 +100,22 @@ def composition_coproduct_duality(pool) -> Outcome:
 
 def _word_side(lam, mu):
     """fdb_image at one (lam, mu), extended linearly over the image of each
-    basis forest, and fdb_circ on basis word pairs, each computed once.
-    The images share one dict of tree weights."""
+    basis forest, and fdb_circ on basis word pairs, each computed once and
+    held as int counts (LinComb._counts).  The images share one dict of
+    tree weights."""
     weights = {}
     basis_image = cache(lambda H: fdb_image(lam, mu, ForestSum.term(H),
-                                            weights=weights))
+                                            weights=weights)._counts())
 
     def image(x):
-        out = WordSum()
+        parts = []
         for H, c in x.terms.items():
-            out.add_scaled(basis_image(H), c)
-        return out
+            den, counts = basis_image(H)
+            parts.append((c.numerator, c.denominator * den, counts))
+        return WordSum._from_counts(parts)
 
-    return image, cache(lambda w, v: fdb_circ(lam, mu, WordSum.term(w),
-                                              WordSum.term(v)))
+    return image, cache(lambda w, v: fdb_circ(
+        lam, mu, WordSum.term(w), WordSum.term(v))._counts())
 
 
 def tree_to_word_morphism(pool) -> Outcome:

@@ -795,3 +795,45 @@ def test_gated_product_on_mixed_sums(modulus):
 
     letters = [(1,), (2,), (3,), (4,)]
     _check_on_mixed_sums(at, WordSum, letters[:3], letters[1:], letters)
+
+
+def test_products_make_one_fraction_per_output_term(monkeypatch):
+    """On basis arguments circ, star and fdb_circ count in ints: the only
+    Fractions made are the result's coefficients, one per term, and the
+    only linear combination built is the result."""
+    from cdse import linear
+
+    made, built = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    real_like, real_init = LinComb._like.__func__, LinComb.__init__
+
+    def like(cls, terms):
+        built.append(cls)
+        return real_like(cls, terms)
+
+    def init(self, terms=None):
+        built.append(type(self))
+        real_init(self, terms)
+
+    x = ForestSum.term(Forest((leaf(1), Tree(B, (leaf(1),)))))
+    y = ForestSum.term(Forest((Tree(A, (leaf(1), Tree(B))), leaf(2))))
+    w, v = WordSum.term((1, 1, 2)), WordSum.term((1, 2, 3))
+    lam, mu = F(3, 2), F(-1, 4)
+    cases = [(circ, x, y), (star, x, y),
+             (lambda a, b: fdb_circ(lam, mu, a, b), w, v)]
+    for module in (prelie, linear):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    monkeypatch.setattr(LinComb, "_like", classmethod(like))
+    monkeypatch.setattr(LinComb, "__init__", init)
+    for product, a, b in cases:
+        del made[:], built[:]
+        got = product(a, b)
+        assert len(got.terms) > 4
+        assert len(made) == len(got.terms)
+        assert built == [type(a)]
+        assert all(type(c) is Fraction and c for c in got.terms.values())
