@@ -98,9 +98,26 @@ def _vertex_count(f: Forest) -> int:
 # one basis product with their multiplicities, and builds no ForestSum.
 
 def _graft_all(t: Tree, target: Forest) -> dict:
-    """Attaching t below each vertex of target, counted."""
-    return Counter(_attach(target, {v: (t,)})
-                   for v in range(_vertex_count(target)))
+    """Attaching t below each vertex of target, counted.
+
+    One walk over the vertices, each held with the way up to the forest:
+    (way up from its parent, its siblings, its index among them, the
+    parent's decoration, None for a root), so that only the path from a
+    vertex to its root is rebuilt."""
+    out = Counter()
+    todo = [(root, (None, target.trees, i, None))
+            for i, root in enumerate(target.trees)]
+    while todo:
+        node, where = todo.pop()
+        todo.extend((c, (where, node.children, i, node.decoration))
+                    for i, c in enumerate(node.children))
+        new = Tree(node.decoration, node.children + (t,))
+        up, siblings, i, dec = where
+        while dec is not None:
+            new = Tree(dec, siblings[:i] + (new,) + siblings[i + 1:])
+            up, siblings, i, dec = up
+        out[Forest(siblings[:i] + (new,) + siblings[i + 1:])] += 1
+    return out
 
 
 def graft(t: Tree, target: Tree) -> ForestSum:
