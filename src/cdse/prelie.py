@@ -100,10 +100,10 @@ def _vertex_count(f: Forest) -> int:
 def _graft_all(t: Tree, target: Forest) -> dict:
     """Attaching t below each vertex of target, counted.
 
-    One walk over the vertices, each held with the way up to the forest:
-    (way up from its parent, its siblings, its index among them, the
-    parent's decoration, None for a root), so that only the path from a
-    vertex to its root is rebuilt."""
+    The vertices are walked once on an explicit stack, each with its way
+    up: (the parent's way up, its siblings, its index among them, the
+    parent's decoration, or None at a root).  Only the path from a vertex
+    to its root is rebuilt."""
     out = Counter()
     todo = [(root, (None, target.trees, i, None))
             for i, root in enumerate(target.trees)]
