@@ -101,25 +101,16 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        """Hash of the fields.  Nested frozen records are hashed first,
-        children before parents on an explicit stack, and enter their
-        parent's field tuple as their hash."""
-        done = {}
-        todo = [self]
+        # the fields in preorder, nested frozen records opened on an
+        # explicit stack and marked by their field count
+        flat, todo = [], [self]
         while todo:
-            node = todo[-1]
-            values = node._values()
-            pending = [v for v in values
-                       if _hashed_here(v) and id(v) not in done]
-            if pending:
-                todo.extend(pending)
-                continue
-            todo.pop()
-            done[id(node)] = hash(tuple(done[id(v)] if _hashed_here(v) else v
-                                        for v in values))
-        return done[id(self)]
-
-
-def _hashed_here(value) -> bool:
-    return (isinstance(value, FrozenRecord)
-            and value.__class__.__hash__ is FrozenRecord.__hash__)
+            value = todo.pop()
+            if (isinstance(value, FrozenRecord)
+                    and value.__class__.__hash__ is FrozenRecord.__hash__):
+                values = value._values()
+                flat.append(len(values))
+                todo.extend(reversed(values))
+            else:
+                flat.append(value)
+        return hash(tuple(flat))
