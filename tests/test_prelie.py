@@ -38,7 +38,7 @@ from cdse import (
     tree_weight,
     trees_of_degree,
 )
-from cdse import prelie, suites
+from cdse import linear, prelie, suites
 from cdse.families import build_case1
 from cdse.hopf import forest_coproduct
 from cdse.linear import LinComb
@@ -801,8 +801,6 @@ def test_products_make_one_fraction_per_output_term(monkeypatch):
     """On basis arguments circ, star and fdb_circ count in ints: the only
     Fractions made are the result's coefficients, one per term, and the
     only linear combination built is the result."""
-    from cdse import linear
-
     made, built = [], []
 
     class Counted(Fraction):
