@@ -31,72 +31,119 @@ def _accumulate(data: dict, pairs) -> dict:
     return data
 
 
-class LinComb:
-    """Finite formal sum c_1 b_1 + ... + c_k b_k, coefficients in Q."""
+def _merge(parts):
+    """(den, counts), the sum of n/d times counts over the parts (n, d,
+    counts), each counts a dict of int coefficients.  The sum runs in ints
+    over a common denominator, raised to the lcm of the d as the parts
+    arrive; keys that sum to 0 are dropped, and den need not be in lowest
+    terms."""
+    den, acc = 1, {}
+    for n, d, counts in parts:
+        if den % d:
+            step = d // math.gcd(den, d)
+            den *= step
+            for key in acc:
+                acc[key] *= step
+        m = n * (den // d)
+        for key, c in counts.items():
+            acc[key] = acc.get(key, 0) + m * c
+    return den, {key: v for key, v in acc.items() if v}
 
-    __slots__ = ("terms",)
+
+def _same(a, b) -> bool:
+    """Whether the (den, counts) pairs a and b, with no zero counts, are
+    one sum.  Cross-multiplied, so neither den need be in lowest terms."""
+    (da, ca), (db, cb) = a, b
+    if da == db:
+        return ca == cb
+    return ca.keys() == cb.keys() and all(v * db == cb[key] * da
+                                          for key, v in ca.items())
+
+
+class LinComb:
+    """Finite formal sum c_1 b_1 + ... + c_k b_k, coefficients in Q.
+
+    A sum built from int counts (_from_counts, term) holds them as its
+    (den, counts) pair and makes its Fractions only when .terms is first read;
+    it then drops the pair, so one form is stored at a time.
+    """
+
+    __slots__ = ("_terms", "_pair")
 
     def __init__(self, terms=None):
         if not terms:
-            self.terms = {}
+            self._terms = {}
             return
         if isinstance(terms, dict):
             terms = terms.items()
-        self.terms = _accumulate({}, (
+        self._terms = _accumulate({}, (
             (key, coeff if isinstance(coeff, Fraction) else Fraction(coeff))
             for key, coeff in terms or ()))
 
+    @property
+    def terms(self) -> dict:
+        """{key: coefficient}, every coefficient nonzero."""
+        terms = self._terms
+        if terms is None:
+            den, counts = self._pair
+            terms = self._terms = {key: Fraction(v, den)
+                                   for key, v in counts.items()}
+            self._pair = None
+        return terms
+
     @classmethod
     def _like(cls, terms: dict) -> "LinComb":
-        """Wrap terms as they are: no conversion, no zero check."""
+        """Wrap terms as they are: no conversion, no zero check.  None
+        leaves the terms to a (den, counts) pair the caller sets."""
         res = cls.__new__(cls)
-        res.terms = terms
+        res._terms = terms
         return res
 
     @classmethod
     def _from_counts(cls, parts) -> "LinComb":
         """Sum of n/d times counts over the parts (n, d, counts), counts a
-        dict of int coefficients.  The sum runs in ints over a common
-        denominator, raised to the lcm of the d as the parts arrive, and
-        each nonzero term of the result is one Fraction."""
-        den, acc = 1, {}
-        for n, d, counts in parts:
-            if den % d:
-                step = d // math.gcd(den, d)
-                den *= step
-                for key in acc:
-                    acc[key] *= step
-            m = n * (den // d)
-            for key, c in counts.items():
-                acc[key] = acc.get(key, 0) + m * c
-        return cls._like({key: Fraction(v, den)
-                          for key, v in acc.items() if v})
+        dict of int coefficients, summed by _merge.  No Fraction is made
+        until .terms is read, and then one per nonzero term."""
+        res = cls._like(None)
+        res._pair = _merge(parts)
+        return res
 
     def _counts(self):
-        """(den, counts): the coefficients as ints over the lcm of their
-        denominators, the one-part form that _from_counts reads."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        """(den, counts): the coefficients as ints over one denominator,
+        the one-part form that _from_counts reads.  A sum built from counts
+        returns its own pair, which the caller must not change; otherwise
+        den is the lcm of the coefficients' denominators."""
+        terms = self._terms
+        if terms is None:
+            return self._pair
+        den = math.lcm(*(c.denominator for c in terms.values()))
         return den, {key: c.numerator * (den // c.denominator)
-                     for key, c in self.terms.items()}
+                     for key, c in terms.items()}
 
     @classmethod
     def term(cls, key, coeff=ONE):
+        """coeff times key, held as counts like a sum from _from_counts."""
         if not isinstance(coeff, Fraction):
             coeff = Fraction(coeff)
-        return cls._like({key: coeff} if coeff else {})
+        res = cls._like(None)
+        res._pair = coeff.denominator, {key: coeff.numerator} if coeff else {}
+        return res
 
     @classmethod
     def zero(cls):
         return cls()
 
     def __bool__(self):
-        return bool(self.terms)
+        terms = self._terms
+        return bool(self._pair[1] if terms is None else terms)
 
     def __eq__(self, other):
         # a subclass with an equality of its own (a series) decides alone
         if type(other).__eq__ is not LinComb.__eq__:
             return NotImplemented
-        return self.terms == other.terms
+        if self._terms is None or other._terms is None:
+            return _same(self._counts(), other._counts())
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

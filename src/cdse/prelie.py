@@ -34,23 +34,31 @@ def _as_forest_sum(a) -> ForestSum:
     raise TypeError(f"expected a forest-like value, got {type(a).__name__}")
 
 
-def _bilinear(kernel, a, b):
-    """Bilinear extension of kernel, the product of two basis keys.
+def _products(kernel, a, b):
+    """The parts (n, d, counts) of the bilinear extension of kernel over
+    the (den, counts) pairs a and b, as linear._merge reads them.
 
-    kernel(ka, kb) returns (den, counts): a dict of int counts over the int
-    den, which in this module depends on ka only (a LinComb's _counts()
-    has that form too).  The products of coefficients and counts are
-    summed as ints (LinComb._from_counts), so the result costs one Fraction
-    per term and none is made before.
+    kernel(ka, kb), the product of two basis keys, returns (den, counts):
+    a dict of int counts over the int den, which in this module depends on
+    ka only (a LinComb's _counts() has that form too).
     """
-    def parts():
-        for ka, ca in a.terms.items():
-            na, da = ca.numerator, ca.denominator
-            for kb, cb in b.terms.items():
-                den, counts = kernel(ka, kb)
-                yield na * cb.numerator, da * cb.denominator * den, counts
+    da, ca = a
+    db, cb = b
+    d = da * db
+    for ka, na in ca.items():
+        for kb, nb in cb.items():
+            den, counts = kernel(ka, kb)
+            yield na * nb, d * den, counts
 
-    return type(a)._from_counts(parts())
+
+def _bilinear(kernel, a, b):
+    """Bilinear extension of kernel to the linear combinations a and b.
+
+    Both are read as int counts (LinComb._counts), so a product of products
+    stays in ints, and the result makes no Fraction before its terms are
+    read (LinComb._from_counts).
+    """
+    return type(a)._from_counts(_products(kernel, a._counts(), b._counts()))
 
 
 def _add(acc: dict, counts: dict, c: int) -> None:
@@ -213,8 +221,10 @@ def _check_word_sum(a) -> WordSum:
 def _numerators(lam, mu):
     """(p, r, d) with lam = p/d and mu = r/d, d the lcm of the two
     denominators."""
-    lam, mu = (x if isinstance(x, Rational) else Fraction(x)
-               for x in (lam, mu))
+    # the class check is the common case, and cheaper than the ABC's
+    if not (type(lam) in (int, Fraction) and type(mu) in (int, Fraction)):
+        lam, mu = (x if isinstance(x, Rational) else Fraction(x)
+                   for x in (lam, mu))
     d = math.lcm(lam.denominator, mu.denominator)
     return (lam.numerator * (d // lam.denominator),
             mu.numerator * (d // mu.denominator), d)
@@ -325,8 +335,8 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
 
     def build(node, table):
         out = _falling(p, r, len(node.children), node.decoration.degree)
-        for child, run in itertools.groupby(node.children):
-            out *= table[child] ** len(tuple(run))
+        for child in node.children:
+            out *= table[child]
         return out
 
     return Fraction(_fill_tables({}, (t,), build)[t], d ** (t.vertices - 1))
@@ -348,14 +358,14 @@ def fdb_image(lam, mu, x, *, weights=None) -> WordSum:
             got = weights[t] = tree_weight(lam, mu, t)
         return got
 
-    def part(f, c):
+    def part(f, n):
         ws = [weight(t) for t in f.trees]
-        return (c.numerator * math.prod(w.numerator for w in ws),
-                c.denominator * math.prod(w.denominator for w in ws),
+        return (n * math.prod(w.numerator for w in ws),
+                den * math.prod(w.denominator for w in ws),
                 {tuple(sorted(t.degree for t in f.trees)): 1})
 
-    return WordSum._from_counts(part(f, c)
-                                for f, c in _as_forest_sum(x).terms.items())
+    den, counts = _as_forest_sum(x)._counts()
+    return WordSum._from_counts(part(f, n) for f, n in counts.items())
 
 
 def _decorations(J) -> tuple:

@@ -96,7 +96,7 @@ class TruncatedSeries(LinComb):
 
     def _like(self, terms: dict) -> "TruncatedSeries":
         res = TruncatedSeries.__new__(TruncatedSeries)
-        res.terms, res.nvars, res.trunc = terms, self.nvars, self.trunc
+        res._terms, res.nvars, res.trunc = terms, self.nvars, self.trunc
         return res
 
     def _compatible(self, other):

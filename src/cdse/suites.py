@@ -8,7 +8,10 @@ still gives one verdict per item: a value it reuses is held by
 functools.cache on a function defined inside the call, so it is computed
 once per distinct argument on any pool order and dropped when the call
 returns.  The one exception is tree_to_word_morphism's circ(F, G), held
-for the last pair only (the command's pool is pair-major).
+for the last pair only (the command's pool is pair-major).  The pre-Lie and
+word checks hold their basis products as int counts (LinComb._counts) and
+do each item's sums on (den, counts) pairs (linear._merge and
+linear._same), so an item builds no Fraction and no linear combination.
 SUITES[command](N, seed) lists a command's (name, check, pool) triples in
 report order.
 """
@@ -19,14 +22,14 @@ from fractions import Fraction
 from functools import cache, partial, wraps
 from typing import NamedTuple
 
-from .hopf import coproduct, forest_coproduct, graft_operator
-from .linear import ForestSum, LinComb, WordSum, tensor
-from .prelie import (_bilinear, circ, circ_recursive, fdb_circ,
+from .hopf import forest_coproduct
+from .linear import ForestSum, WordSum, _accumulate, _merge, _same
+from .prelie import (_products, circ, circ_recursive, fdb_circ,
                      fdb_circ_recursive, fdb_image, fdb_solution,
                      fdb_solution_recursive, star)
 from .solver import check_hopf, parse_system_text, solve, solve_oracle
-from .trees import (Decoration, forest_symmetry, forests_of_degree,
-                    trees_of_degree)
+from .trees import (EMPTY_FOREST, Decoration, Tree, forest_symmetry,
+                    forests_of_degree, single, trees_of_degree)
 
 
 class Outcome(NamedTuple):
@@ -55,14 +58,20 @@ def pre_lie_identity(pool) -> Outcome:
     Every circ is expanded bilinearly over basis pairs of forests, each
     computed once per call; each triple is still one check.
     """
-    product = partial(_bilinear, cache(lambda F, G: circ(
-        ForestSum.term(F), ForestSum.term(G))._counts()))
+    basis = cache(lambda F, G: circ(ForestSum.term(F),
+                                    ForestSum.term(G))._counts())
+
+    def associator(x, y, z):
+        # (x circ y) circ z - x circ (y circ z), for basis forests
+        return _merge(itertools.chain(
+            _products(basis, basis(x, y), (1, {z: 1})),
+            _products(basis, (1, {x: -1}), basis(y, z))))
+
     checks, failures = 0, []
     for a, b, c in pool:
         checks += 1
-        x, y, z = (ForestSum.of_tree(t) for t in (a, b, c))
-        if (product(product(x, y), z) - product(x, product(y, z))
-                != product(product(y, x), z) - product(y, product(x, z))):
+        x, y, z = single(a), single(b), single(c)
+        if not _same(associator(x, y, z), associator(y, x, z)):
             failures.append((a, b, c))
     return Outcome(checks, failures)
 
@@ -82,9 +91,13 @@ def composition_coproduct_duality(pool) -> Outcome:
     coefficient of F (x) G in Delta H.  Each (F, G) side and each H side is
     computed once per call; each triple is still one check.
     """
-    star_side = cache(lambda F, G: (
-        star(ForestSum.term(F), ForestSum.term(G)).terms,
-        forest_symmetry(F) * forest_symmetry(G)))
+    @cache
+    def star_side(F, G):
+        # the product's int counts, and symmetry(F) symmetry(G) times
+        # their denominator
+        den, counts = star(ForestSum.term(F), ForestSum.term(G))._counts()
+        return counts, den * forest_symmetry(F) * forest_symmetry(G)
+
     coproduct_side = cache(lambda H: (forest_symmetry(H),
                                       forest_coproduct(H).terms))
     checks, failures = 0, []
@@ -99,23 +112,14 @@ def composition_coproduct_duality(pool) -> Outcome:
 
 
 def _word_side(lam, mu):
-    """fdb_image at one (lam, mu), extended linearly over the image of each
-    basis forest, and fdb_circ on basis word pairs, each computed once and
-    held as int counts (LinComb._counts).  The images share one dict of
-    tree weights."""
+    """fdb_image at one (lam, mu) on basis forests and fdb_circ on basis
+    word pairs, each computed once and held as int counts
+    (LinComb._counts).  The images share one dict of tree weights."""
     weights = {}
-    basis_image = cache(lambda H: fdb_image(lam, mu, ForestSum.term(H),
-                                            weights=weights)._counts())
-
-    def image(x):
-        parts = []
-        for H, c in x.terms.items():
-            den, counts = basis_image(H)
-            parts.append((c.numerator, c.denominator * den, counts))
-        return WordSum._from_counts(parts)
-
-    return image, cache(lambda w, v: fdb_circ(
-        lam, mu, WordSum.term(w), WordSum.term(v))._counts())
+    return (cache(lambda H: fdb_image(lam, mu, ForestSum.term(H),
+                                      weights=weights)._counts()),
+            cache(lambda w, v: fdb_circ(lam, mu, WordSum.term(w),
+                                        WordSum.term(v))._counts()))
 
 
 def tree_to_word_morphism(pool) -> Outcome:
@@ -133,11 +137,16 @@ def tree_to_word_morphism(pool) -> Outcome:
     checks, failures = 0, []
     for lam, mu, F, G in pool:
         checks += 1
-        x, y = ForestSum.term(F), ForestSum.term(G)
         if (F, G) != last:
-            last, product = (F, G), circ(x, y)
+            last = F, G
+            den, product = circ(ForestSum.term(F), ForestSum.term(G))._counts()
         image, basis_circ = sides(lam, mu)
-        if image(product) != _bilinear(basis_circ, image(x), image(y)):
+        parts = []
+        for H, c in product.items():
+            d, words = image(H)
+            parts.append((c, den * d, words))
+        if not _same(_merge(parts),
+                     _merge(_products(basis_circ, image(F), image(G)))):
             failures.append((lam, mu, F, G))
     return Outcome(checks, failures)
 
@@ -168,12 +177,13 @@ def _each_with_coproduct(holds):
 
 @_each_with_coproduct
 def coassociativity(delta, f):
-    """(Delta (x) id) Delta f equals (id (x) Delta) Delta f."""
+    """(Delta (x) id) Delta f equals (id (x) Delta) Delta f, compared on the
+    int cut counts."""
     terms = delta(f).terms.items()
-    left = LinComb(((u, v, b), c * d) for (a, b), c in terms
-                   for (u, v), d in delta(a).terms.items())
-    right = LinComb(((a, u, v), c * d) for (a, b), c in terms
-                    for (u, v), d in delta(b).terms.items())
+    left = _accumulate({}, (((u, v, b), c * d) for (a, b), c in terms
+                            for (u, v), d in delta(a).terms.items()))
+    right = _accumulate({}, (((a, u, v), c * d) for (a, b), c in terms
+                             for (u, v), d in delta(b).terms.items()))
     return left == right
 
 
@@ -181,9 +191,9 @@ def coassociativity(delta, f):
 def counit_axiom(f):
     """Applying the counit on either side of Delta f gives f back."""
     delta = forest_coproduct(f).terms.items()
-    left = ForestSum((b, c) for (a, b), c in delta if not a.trees)
-    right = ForestSum((a, c) for (a, b), c in delta if not b.trees)
-    return left == right == ForestSum.term(f)
+    left = _accumulate({}, ((b, c) for (a, b), c in delta if not a.trees))
+    right = _accumulate({}, ((a, c) for (a, b), c in delta if not b.trees))
+    return left == right == {f: 1}
 
 
 @_each_with_coproduct
@@ -194,14 +204,13 @@ def coproduct_multiplicativity(delta, f, g):
 
 @_each
 def cocycle_identity(d, f):
-    """Delta B_d(f) = B_d(f) (x) 1 + (id (x) B_d) Delta f."""
-    x = ForestSum.term(f)
-    lifted = graft_operator(d, x)
-    rhs = tensor(lifted, ForestSum.one())
-    for (a, b), c in coproduct(x).terms.items():
-        rhs.add_scaled(tensor(ForestSum.term(a),
-                              graft_operator(d, ForestSum.term(b))), c)
-    return coproduct(lifted) == rhs
+    """Delta B_d(f) = B_d(f) (x) 1 + (id (x) B_d) Delta f, compared on the
+    int cut counts."""
+    lifted = single(Tree(d, f.trees))
+    rhs = _accumulate({(lifted, EMPTY_FOREST): 1}, (
+        ((a, single(Tree(d, b.trees))), c)
+        for (a, b), c in forest_coproduct(f).terms.items()))
+    return forest_coproduct(lifted).terms == rhs
 
 
 @_each

@@ -253,6 +253,27 @@ def test_selftest(capsys):
         assert f"PASS {name}" in out
 
 
+def test_selftest_pool_sizes(capsys):
+    names = ("coassociativity", "counit", "coproduct-multiplicativity",
+             "cocycle-identity", "coproduct-grading", "solver-two-routes",
+             "hopf-smoke")
+    for order, counts in ((1, (9, 9, 4, 9, 9, 4, 6)),
+                          (2, (21, 21, 32, 21, 21, 4, 6)),
+                          (3, (47, 47, 185, 47, 47, 4, 6)),
+                          (4, (47, 47, 185, 47, 47, 4, 6))):
+        code, out, _ = run(capsys, "selftest", "-N", str(order),
+                           "--seed", "0", "--format", "structured")
+        assert code == 0
+        assert out.splitlines() == [
+            "cdse-report 1",
+            "command selftest",
+            f"order {order}",
+            "seed 0",
+            *(f"suite {name} | pass | {n}" for name, n in zip(names, counts)),
+            "status ok",
+        ]
+
+
 def test_selftest_fails_on_a_broken_coproduct(capsys, monkeypatch):
     real = suites.forest_coproduct
 

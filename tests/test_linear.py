@@ -1,0 +1,126 @@
+"""Linear combinations held as int counts against the all-Fraction route.
+
+A sum built from counts (LinComb._from_counts, LinComb.term) keeps its
+(den, counts) pair until .terms is read; every operation must answer as
+the same sum built from Fractions does.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from cdse import Forest, ForestSum, WordSum, leaf
+from cdse.linear import _merge, _same
+
+F = Fraction
+KEYS = {
+    ForestSum: [Forest(()), Forest((leaf(1),)), Forest((leaf(2),)),
+                Forest((leaf(1), leaf(1)))],
+    WordSum: [(), (1,), (2,), (1, 1), (1, 2)],
+}
+
+coefficients = st.fractions(-4, 4, max_denominator=6)
+
+
+@st.composite
+def sums(draw, cls):
+    """(value, reference): one sum, built from counts or from Fractions,
+    and the same sum built from Fractions."""
+    keys = KEYS[cls]
+    coeffs = draw(st.lists(st.tuples(st.sampled_from(keys), coefficients),
+                           max_size=6))
+    reference = cls.zero()
+    for key, c in coeffs:
+        reference.add_scaled(cls.term(key), c)
+    if not draw(st.booleans()):
+        return cls(coeffs), reference
+    # each coefficient n/d as its own part, plus a part that cancels out,
+    # so the common denominator grows past the reduced one
+    parts = [(c.numerator, c.denominator, {key: 1}) for key, c in coeffs]
+    k = draw(st.integers(1, 5))
+    parts.append((k, 7, {keys[0]: 1, keys[-1]: 2}))
+    parts.append((-k, 7, {keys[0]: 1, keys[-1]: 2}))
+    return cls._from_counts(parts), reference
+
+
+def _fractions_only(x):
+    return all(type(c) is Fraction and c for c in x.terms.values())
+
+
+@given(st.sampled_from([ForestSum, WordSum]).flatmap(
+    lambda cls: st.tuples(sums(cls), sums(cls), coefficients)))
+def test_count_form_answers_as_the_fraction_form(args):
+    (a, ra), (b, rb), c = args
+    assert (a == b) == (ra == rb)
+    assert a == ra and ra == a
+    assert bool(a) == bool(ra)
+    assert hash(a) == hash(ra)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb),
+                      (a.scale(c), ra.scale(c)), (a * b, ra * rb)):
+        assert got == want
+        assert got.terms == want.terms
+        assert _fractions_only(got)
+    assert a.terms == ra.terms and _fractions_only(a)
+
+
+@given(st.sampled_from([ForestSum, WordSum]).flatmap(
+    lambda cls: st.tuples(sums(cls), sums(cls), coefficients)))
+def test_add_scaled_after_a_counts_read_changes_both_forms(args):
+    (a, ra), (b, rb), c = args
+    before = a._counts()
+    held = (before[0], dict(before[1]))
+    a.add_scaled(b, c)
+    want = ra + rb.scale(c)
+    assert _same(a._counts(), want._counts())
+    assert a.terms == want.terms and _fractions_only(a)
+    # the pair read before is not changed under its holder
+    assert before == held
+
+
+def test_merge_raises_the_denominator_to_the_lcm():
+    k, j = "k", "j"
+    assert _merge([(1, 2, {k: 1}), (1, 3, {k: 1, j: 2})]) == (6, {k: 5,
+                                                                   j: 4})
+    assert _merge([(1, 4, {k: 1}), (1, 6, {k: 1})]) == (12, {k: 5})
+    # a denominator that divides the common one leaves it as it is
+    assert _merge([(1, 6, {k: 1}), (1, 3, {k: 1})]) == (6, {k: 3})
+    got = WordSum._from_counts([(1, 4, {(1,): 1}), (1, 6, {(1,): 1})])
+    assert got.terms == {(1,): F(5, 12)}
+
+
+def test_merge_drops_what_cancels():
+    k, j = "k", "j"
+    assert _merge([(1, 2, {k: 1, j: 1}), (-1, 2, {k: 1})]) == (2, {j: 1})
+    den, counts = _merge([(1, 2, {k: 1}), (-2, 4, {k: 1})])
+    assert counts == {}
+    zero = WordSum._from_counts([(1, 2, {(1,): 1}), (-1, 2, {(1,): 1})])
+    assert not zero and zero == WordSum() and zero.terms == {}
+
+
+def test_the_empty_sum():
+    assert _merge([]) == (1, {})
+    empty = ForestSum._from_counts([])
+    assert not empty and empty == ForestSum() and hash(empty) == hash(
+        ForestSum())
+    assert empty._counts() == (1, {}) and ForestSum()._counts() == (1, {})
+
+
+def test_unequal_denominators_compare_equal():
+    k = (1,)
+    assert _same((2, {k: 1}), (4, {k: 2}))
+    assert _same((6, {k: 3, (2,): 2}), (3, {k: 1, (2,): 1})) is False
+    assert _same((2, {k: 1}), (4, {k: 2, (2,): 1})) is False
+    assert _same((2, {k: 1}), (4, {(2,): 2})) is False
+    half = WordSum._from_counts([(2, 4, {k: 1})])
+    assert half._counts()[0] == 4
+    assert half == WordSum._from_counts([(1, 2, {k: 1})])
+    assert half == WordSum.gen(1, F(1, 2)) == WordSum({k: F(1, 2)})
+    assert half != WordSum.gen(1, F(1, 4))
+
+
+def test_terms_replace_the_counts():
+    x = WordSum._from_counts([(3, 6, {(1,): 1, (2,): 2})])
+    assert x._counts() == (6, {(1,): 3, (2,): 6})
+    assert x.terms == {(1,): F(1, 2), (2,): F(1)}
+    # read back from the Fractions, over the lcm of their denominators
+    assert x._counts() == (2, {(1,): 1, (2,): 2})
