@@ -180,10 +180,10 @@ class LinComb:
 
     def __mul__(self, other):
         mul = self._mul_key
+        right = other.terms.items()
         return self._like(_accumulate({}, (
             (mul(ka, kb), ca * cb)
-            for ka, ca in self.terms.items()
-            for kb, cb in other.terms.items())))
+            for ka, ca in self.terms.items() for kb, cb in right)))
 
     def map_keys(self, fn) -> "LinComb":
         """Linear extension of a basis map; fn returns a key."""
@@ -231,18 +231,20 @@ class ForestSum(LinComb):
 
     def mul_upto(self, other: "ForestSum", n: int) -> "ForestSum":
         """(self * other).truncate(n), without forming the pairs of degree > n."""
+        right = other.terms.items()
         return self._like(_accumulate({}, (
             (fa * fb, ca * cb)
             for fa, ca in self.terms.items() if fa.degree <= n
-            for fb, cb in other.terms.items() if fa.degree + fb.degree <= n)))
+            for fb, cb in right if fa.degree + fb.degree <= n)))
 
 
 def forest_sum_text(x: ForestSum) -> str:
     """`coeff * forest` terms joined by ` + `, in canonical forest order."""
-    if not x.terms:
+    terms = x.terms
+    if not terms:
         return "0"
-    return " + ".join(f"{x.terms[f]} * {forest_text(f)}"
-                      for f in sorted(x.terms, key=lambda f: f.key))
+    return " + ".join(f"{terms[f]} * {forest_text(f)}"
+                      for f in sorted(terms, key=lambda f: f.key))
 
 
 class TensorSum(LinComb):
@@ -263,8 +265,9 @@ class TensorSum(LinComb):
 
 
 def tensor(a: ForestSum, b: ForestSum) -> TensorSum:
+    right = b.terms.items()
     return TensorSum(((ka, kb), ca * cb) for ka, ca in a.terms.items()
-                     for kb, cb in b.terms.items())
+                     for kb, cb in right)
 
 
 class WordSum(LinComb):
