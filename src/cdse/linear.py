@@ -2,7 +2,8 @@
 
 One small class covers forest sums, tensors of forests, and commutative
 words; subclasses only say how two basis elements multiply.  Zero
-coefficients are dropped eagerly so equality is dictionary equality.
+coefficients are dropped eagerly, so equality compares the nonzero terms,
+or their int counts cross-multiplied.
 """
 
 from __future__ import annotations
