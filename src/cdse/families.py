@@ -428,7 +428,8 @@ class FundamentalData:
             deps = sorted(v.a)
             ref = op_ast(self, deps[0], 1)
             for j in deps[1:]:
-                if not _exprs_equal(ref, op_ast(self, j, 1), self.nvars):
+                if not _exprs_equal(ref, op_ast(self, j, 1), self.nvars,
+                                    f"vertex {v.index}"):
                     raise SystemFormatError(
                         f"vertex {v.index}: dependencies {deps[0]} and {j} "
                         f"carry different series")

@@ -56,15 +56,15 @@ def coproduct(x: ForestSum) -> TensorSum:
     """Delta x, with Fraction coefficients.
 
     The coproduct of each distinct subtree is built once, for this call.
-    The cut counts are summed as ints over the common denominator of x's
-    coefficients (TensorSum._from_counts), so each term of the result costs
-    one Fraction.
+    x is read once as int counts over one den (x._counts()), the cut counts
+    are summed as ints over it (TensorSum._from_counts), and each term of
+    the result costs one Fraction: a sum that holds counts makes no other.
     """
-    tables = _fill_tables({}, (t for f in x.terms for t in f.trees),
-                          _tree_cuts)
+    den, counts = x._counts()
+    tables = _fill_tables({}, (t for f in counts for t in f.trees), _tree_cuts)
     return TensorSum._from_counts(
-        (c.numerator, c.denominator, _forest_cuts(f.trees, tables).terms)
-        for f, c in x.terms.items())
+        (n, den, _forest_cuts(f.trees, tables).terms)
+        for f, n in counts.items())
 
 
 def reduced_coproduct(x: ForestSum) -> TensorSum:
@@ -90,9 +90,9 @@ def counit(x: ForestSum) -> Fraction:
 def pairing(a: ForestSum, b: ForestSum) -> Fraction:
     """Diagonal pairing <F, G> = symmetry(F) [F = G], extended bilinearly."""
     total = Fraction(0)
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    for f, c in small.terms.items():
-        d = large.terms.get(f)
+    small, large = sorted((a.terms, b.terms), key=len)
+    for f, c in small.items():
+        d = large.get(f)
         if d is not None:
             total += forest_symmetry(f) * c * d
     return total
@@ -100,9 +100,9 @@ def pairing(a: ForestSum, b: ForestSum) -> Fraction:
 
 def tensor_pairing(a: TensorSum, b: TensorSum) -> Fraction:
     total = Fraction(0)
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    for (f, g), c in small.terms.items():
-        d = large.terms.get((f, g))
+    small, large = sorted((a.terms, b.terms), key=len)
+    for (f, g), c in small.items():
+        d = large.get((f, g))
         if d is not None:
             total += forest_symmetry(f) * forest_symmetry(g) * c * d
     return total

@@ -51,6 +51,13 @@ def _merge(parts):
     return den, {key: v for key, v in acc.items() if v}
 
 
+def _scaled(values):
+    """The rationals in values (read twice) as (den, nums): ints over den, the
+    lcm of their denominators, in order; other modules read rationals here."""
+    den = math.lcm(*(c.denominator for c in values))
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
 def _same(a, b) -> bool:
     """Whether the (den, counts) pairs a and b, with no zero counts, are
     one sum.  Cross-multiplied, so neither den need be in lowest terms."""
@@ -117,9 +124,8 @@ class LinComb:
         terms = self._terms
         if terms is None:
             return self._pair
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        return den, {key: c.numerator * (den // c.denominator)
-                     for key, c in terms.items()}
+        den, nums = _scaled(terms.values())
+        return den, dict(zip(terms, nums))
 
     @classmethod
     def term(cls, key, coeff=ONE):

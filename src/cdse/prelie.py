@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from numbers import Rational
 
-from .linear import ForestSum, WordSum, _accumulate
+from .linear import ForestSum, WordSum, _accumulate, _scaled
 from .trees import (Decoration, Forest, Tree, _fill_tables, single,
                     tree_symmetry, trees_of_degree)
 
@@ -219,15 +219,13 @@ def _check_word_sum(a) -> WordSum:
 
 
 def _numerators(lam, mu):
-    """(p, r, d) with lam = p/d and mu = r/d, d the lcm of the two
+    """(d, [p, r]) with lam = p/d and mu = r/d, d the lcm of the two
     denominators."""
     # the class check is the common case, and cheaper than the ABC's
     if not (type(lam) in (int, Fraction) and type(mu) in (int, Fraction)):
         lam, mu = (x if isinstance(x, Rational) else Fraction(x)
                    for x in (lam, mu))
-    d = math.lcm(lam.denominator, mu.denominator)
-    return (lam.numerator * (d // lam.denominator),
-            mu.numerator * (d // mu.denominator), d)
+    return _scaled((lam, mu))
 
 
 def _falling(p: int, r: int, m: int, j: int) -> int:
@@ -246,7 +244,7 @@ def falling_product(lam, mu, m: int, j: int) -> Fraction:
 
     computed as the int _falling over d^m, lam = p/d and mu = r/d.
     """
-    p, r, d = _numerators(lam, mu)
+    d, (p, r) = _numerators(lam, mu)
     return Fraction(_falling(p, r, m, j), d ** m)
 
 
@@ -286,7 +284,7 @@ def fdb_circ(lam, mu, a, b) -> WordSum:
     denominator of lam and mu, and _bilinear makes one Fraction per term.
     """
     a, b = _check_word_sum(a), _check_word_sum(b)
-    p, r, d = _numerators(lam, mu)
+    d, (p, r) = _numerators(lam, mu)
     return _bilinear(lambda w, v: (d ** len(w),
                                    _word_on_letters_closed(p, r, w, v)), a, b)
 
@@ -315,7 +313,7 @@ def _word_circ_rec(p: int, r: int, w, v) -> dict:
 def fdb_circ_recursive(lam, mu, a, b) -> WordSum:
     """Same word product, by peeling letters instead of the closed sum."""
     a, b = _check_word_sum(a), _check_word_sum(b)
-    p, r, d = _numerators(lam, mu)
+    d, (p, r) = _numerators(lam, mu)
     return _bilinear(lambda w, v: (d ** len(w), _word_circ_rec(p, r, w, v)),
                      a, b)
 
@@ -331,7 +329,7 @@ def tree_weight(lam, mu, t: Tree) -> Fraction:
     int is filled in per subtree by _fill_tables, which needs no recursion,
     and the one Fraction is made at the end.
     """
-    p, r, d = _numerators(lam, mu)
+    d, (p, r) = _numerators(lam, mu)
 
     def build(node, table):
         out = _falling(p, r, len(node.children), node.decoration.degree)
@@ -359,9 +357,8 @@ def fdb_image(lam, mu, x, *, weights=None) -> WordSum:
         return got
 
     def part(f, n):
-        ws = [weight(t) for t in f.trees]
-        return (n * math.prod(w.numerator for w in ws),
-                den * math.prod(w.denominator for w in ws),
+        d, nums = _scaled([weight(t) for t in f.trees])
+        return (n * math.prod(nums), den * d ** len(nums),
                 {tuple(sorted(t.degree for t in f.trees)): 1})
 
     den, counts = _as_forest_sum(x)._counts()
@@ -415,9 +412,7 @@ def affine_circ(modulus: int, alpha, a, b) -> WordSum:
     Defined on single letters only; unlike the two-parameter family it is
     associative on the nose.
     """
-    if not isinstance(alpha, Rational):
-        alpha = Fraction(alpha)
-    num, den = alpha.numerator, alpha.denominator
+    den, (num,) = _scaled((Fraction(alpha),))
 
     def letters(wa, wb):
         if len(wa) != 1 or len(wb) != 1:

@@ -110,10 +110,11 @@ class TruncatedSeries(LinComb):
     def __mul__(self, other):
         self._compatible(other)
         trunc = self.trunc
+        right = other.terms.items()
         return self._like(_accumulate({}, (
             (tuple(a + b for a, b in zip(p, r)), cp * cr)
             for p, cp in self.terms.items()
-            for r, cr in other.terms.items()
+            for r, cr in right
             if sum(p) + sum(r) <= trunc)))
 
     def pow_int(self, n: int) -> "TruncatedSeries":

@@ -23,7 +23,7 @@ from functools import cache
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import ForestSum, _accumulate, tensor
+from .linear import ForestSum, _accumulate, _scaled, tensor
 from .record import Record
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
@@ -48,11 +48,11 @@ class NotHopfCompatible(ValueError):
     """Strict-mode rejection: the input violates a necessary Hopf condition."""
 
 
-def _series_at(expr, nvars, trunc, q=None):
+def _series_at(expr, nvars, trunc, where, q=None):
     try:
         return expr_series(expr, nvars, trunc, q)
     except EvaluationError as exc:
-        raise SystemFormatError(str(exc)) from exc
+        raise SystemFormatError(f"{where}: {exc}") from exc
 
 
 def _inspect_depth(*exprs) -> int:
@@ -61,9 +61,9 @@ def _inspect_depth(*exprs) -> int:
     return max([INSPECT_DEPTH, *(b for b in bounds if b is not None)])
 
 
-def _exprs_equal(a, b, nvars) -> bool:
+def _exprs_equal(a, b, nvars, where) -> bool:
     depth = _inspect_depth(a, b)
-    return _series_at(a, nvars, depth) == _series_at(b, nvars, depth)
+    return _series_at(a, nvars, depth, where) == _series_at(b, nvars, depth, where)
 
 
 class SDSE:
@@ -111,7 +111,7 @@ class SDSE:
             key = (i, q)
             if key not in ops:
                 ops[key] = expr
-            elif _exprs_equal(ops[key], expr, nvars):
+            elif _exprs_equal(ops[key], expr, nvars, f"operator ({i},{q})"):
                 notes.append(f"merged duplicate operator ({i},{q})")
             elif strict:
                 raise NotHopfCompatible(
@@ -130,7 +130,8 @@ class SDSE:
         for (i, q) in list(ops):
             fam = fams.get(i)
             if fam and q >= fam[0]:
-                if _exprs_equal(ops[(i, q)], expr_instantiate(fam[1], q), nvars):
+                if _exprs_equal(ops[(i, q)], expr_instantiate(fam[1], q), nvars,
+                                f"operator ({i},{q})"):
                     del ops[(i, q)]
                     notes.append(f"dropped operator ({i},{q}) covered by the family")
                 else:
@@ -162,7 +163,8 @@ class SDSE:
 
     def op_series(self, i: int, q: int, trunc: int):
         expr = self.op_expr(i, q)
-        return None if expr is None else _series_at(expr, self.nvars, trunc)
+        return None if expr is None else _series_at(expr, self.nvars, trunc,
+                                                    f"operator ({i},{q})")
 
     def decorations(self, bound: int):
         return tuple(Decoration(i, q)
@@ -179,7 +181,7 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
     notes = list(raw.notes)
     ops = {}
     for (i, q), expr in raw.ops.items():
-        s = _series_at(expr, raw.nvars, _inspect_depth(expr))
+        s = raw.op_series(i, q, _inspect_depth(expr))
         if not s:
             notes.append(f"dropped zero operator ({i},{q})")
             continue
@@ -196,7 +198,8 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
     families = {}
     for i, (q0, template) in raw.families.items():
         sample = range(q0, q0 + INSPECT_DEPTH)
-        if not any(_series_at(template, raw.nvars, INSPECT_DEPTH, q)
+        if not any(_series_at(template, raw.nvars, INSPECT_DEPTH,
+                              f"family (eq {i}) at q = {q}", q)
                    for q in sample):
             notes.append(f"dropped zero operator family (eq {i}, q >= {q0})")
             continue
@@ -242,13 +245,13 @@ def _graft_search(support, caps, kept, counts, picked,
     """Child multisets of total degree rest for one operator, as
     (children, num, den), num / den the coefficient of their tree.
 
-    Children come from kept (degree -> [(tree, coefficient, eq)], in
+    Children come from kept (degree -> [(tree, den, count, eq)], in
     canonical order) one at a time, none smaller than the last, so picks
     follow the canonical tree order and the multisets come out in
     lexicographic order: the canonical order of their trees.  The exponent
     vector p must lie in support, the series as ints over the first den;
     caps[j] bounds p_j and slots |p|, so work follows the nonzero solution.
-    A pick multiplies num and den by the child's numerator and denominator,
+    A pick multiplies num and den by the child's coefficient count and den,
     and den by the run of equal children it extends: a run of mult, by mult!.
     """
     # a module-level function rather than a closure that calls itself, so no
@@ -268,15 +271,15 @@ def _graft_search(support, caps, kept, counts, picked,
             continue
         row = kept.get(e, ())
         for k in range(start if e == low else 0, len(row)):
-            t, a, j = row[k]
+            t, d, a, j = row[k]
             if counts[j] == caps[j]:
                 continue
             more = run + 1 if e == low and k == start and picked else 1
             picked.append(t)
             counts[j] += 1
             yield from _graft_search(support, caps, kept, counts, picked,
-                                     rest - e, e, k, slots - 1, num * a.numerator,
-                                     den * a.denominator * more, more)
+                                     rest - e, e, k, slots - 1, num * a,
+                                     den * d * more, more)
             picked.pop()
             counts[j] -= 1
 
@@ -291,8 +294,8 @@ def solve(S: SDSE, N: int) -> Solution:
     A tree has a nonzero coefficient exactly when its children do and p
     lies in the support of f_iq, so each degree is built only from the
     nonzero trees of lower degree.  The search multiplies ints, f_iq[p] prod
-    p_j! over D = lcm of f_iq's denominators and the children's numerators
-    and denominators; each tree gets one Fraction here, in canonical order.
+    p_j! over D = lcm of f_iq's denominators and the children's counts and
+    dens (_counts()); each tree gets one Fraction here, in canonical order.
     """
     if N < 1:
         raise SystemFormatError("degree bound must be >= 1")
@@ -302,10 +305,9 @@ def solve(S: SDSE, N: int) -> Solution:
             support = S.op_series(i, q, N - q).terms
             if support:
                 caps = [max(p[j] for p in support) for j in range(S.nvars)]
-                D = math.lcm(*(c.denominator for c in support.values()))
-                ints = {p: c.numerator * (D // c.denominator)
-                        * math.prod(map(math.factorial, p))
-                        for p, c in support.items()}
+                D, nums = _scaled(support.values())
+                ints = {p: c * math.prod(map(math.factorial, p))
+                        for p, c in zip(support, nums)}
                 ops.append((Decoration(i, q), ints, caps,
                             max(map(sum, support)), D))
     kept = {}
@@ -319,9 +321,11 @@ def solve(S: SDSE, N: int) -> Solution:
                                    n - dec.degree, 1, 0, slots, 1, D, 0)
             per_eq[dec.eq] += ((Tree(dec, kids), Fraction(num, den))
                                for kids, num, den in grafts)
-        kept[n] = [(t, a, i - 1) for i, grown in per_eq.items() for t, a in grown]
+        kept[n] = []
         for i, grown in per_eq.items():
             components[(i, n)] = ForestSum._like({single(t): a for t, a in grown})
+            den, counts = components[(i, n)]._counts()
+            kept[n] += ((f.trees[0], den, c, i - 1) for f, c in counts.items())
     return Solution(S, N, components)
 
 
@@ -622,22 +626,21 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     components are visited by degree; a tree of degree N is a subtree of
     no tree of degree <= N, and its table is dropped once read.  The sums
     are ints: a cut (d, t) is fed only by x_i(deg t + q), i the root of t,
-    so it sums numerators over L, the lcm of that component's denominators.
+    so it sums that component's int counts (_counts()) over its den.
     Ratios are compared as int cross products; an entry is one Fraction.
     """
     tables = {}  # subtree -> its leaf-cut table, for this call only
-    cuts = {}    # (leaf decoration, remaining tree) -> numerator over lcms
-    lcms = {}    # (i, m) -> lcm of the coefficient denominators of x_i(m)
+    cuts = {}    # (leaf decoration, remaining tree) -> count over its den
+    pairs = {}   # (i, m) -> x_i(m)._counts(), (den, {forest: count})
     for (i, m), comp in sorted(sol.components.items(), key=lambda kv: kv[0][1]):
         if m > N:
             continue
-        L = lcms[(i, m)] = math.lcm(*(a.denominator for a in comp.terms.values()))
-        for f, a in comp.terms.items():
+        pairs[(i, m)] = comp._counts()
+        for f, w in pairs[(i, m)][1].items():
             t = f.trees[0]
             table = _fill_tables(tables, (t,), _leaf_cut_table)[t]
             if t.degree >= N:
                 del tables[t]
-            w = a.numerator * (L // a.denominator)
             for key, count in table.items():
                 cuts[key] = cuts.get(key, 0) + w * count
     entries = {}
@@ -646,17 +649,17 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
         for (ip, q) in cut_decs:
             dec = Decoration(ip, q)
             for n in range(1, N - q + 1):
-                support = sol.component(i, n)
-                if not support:
+                den, counts = pairs.get((i, n), (1, {}))
+                if not counts:
                     entries[(i, (ip, q), n)] = VACUOUS
                     continue
-                # the cut at t over a_t is c / (d * L): one (c, d) per tree
-                ratios = [(cuts.get((dec, f.trees[0]), 0) * a.denominator,
-                           a.numerator) for f, a in support.terms.items()]
-                c0, d0 = ratios[0]
+                # the cut at t over a_t is c * den_n / (w * den_(n+q))
+                ratios = [(cuts.get((dec, f.trees[0]), 0), w)
+                          for f, w in counts.items()]
+                c0, w0 = ratios[0]
                 entries[(i, (ip, q), n)] = (
-                    Fraction(c0, d0 * lcms.get((i, n + q), 1))
-                    if all(c * d0 == c0 * d for c, d in ratios) else INCONSISTENT)
+                    Fraction(c0 * den, w0 * pairs.get((i, n + q), (1,))[0])
+                    if all(c * w0 == c0 * w for c, w in ratios) else INCONSISTENT)
     return LambdaTable(entries, N)
 
 

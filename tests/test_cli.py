@@ -351,6 +351,20 @@ def test_malformed_system_is_an_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, N, message", [
+    ("op 1 : log(h1)\n", "3", "operator (1,1): log needs constant term 1"),
+    ("op 1 : log(h1)\n  op 1 : log(h1)\n", "3",
+     "operator (1,1): log needs constant term 1"),
+    ("ops 1.. : q - 9 + h1\n", "9",
+     "operator (1,9): negative power needs a nonzero constant term"),
+    ("ops 2.. : log(h1)\n", "3",
+     "family (eq 1) at q = 2: log needs constant term 1"),
+], ids=["op", "duplicate-op", "family-op", "family-sample"])
+def test_evaluation_errors_name_their_operator(capsys, text, N, message):
+    code, out, err = run(capsys, "solve", f"vars 1\neq 1\n  {text}", "-N", N)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_deep_nesting_is_an_input_error(capsys):
     deep = "(" * 3000 + "1 + h1" + ")" * 3000
     code, out, err = run(capsys, "solve", f"vars 1\neq 1\n  op 1 : {deep}\n",

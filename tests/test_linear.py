@@ -5,12 +5,17 @@ A sum built from counts (LinComb._from_counts, LinComb.term) keeps its
 the same sum built from Fractions does.
 """
 
+import ast
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from cdse import Forest, ForestSum, WordSum, leaf
-from cdse.linear import _merge, _same
+import cdse
+from cdse import Decoration, Forest, ForestSum, WordSum, coproduct, ladder, leaf
+from cdse.linear import _merge, _same, _scaled
 
 F = Fraction
 KEYS = {
@@ -124,3 +129,35 @@ def test_terms_replace_the_counts():
     assert x.terms == {(1,): F(1, 2), (2,): F(1)}
     # read back from the Fractions, over the lcm of their denominators
     assert x._counts() == (2, {(1,): 1, (2,): 2})
+
+
+def test_scaled_puts_the_values_over_their_lcm_in_order():
+    assert _scaled([F(1, 6), 2, F(-3, 4), F(0), -1]) == (12, [2, 24, -9, 0, -12])
+    assert _scaled([3, 5]) == (1, [3, 5])
+    assert _scaled(()) == (1, [])
+
+
+def test_only_linear_and_series_read_numerator_or_denominator():
+    """cdse.linear owns the integer-over-denominator form (_scaled); series
+    reads a rational exponent.  Every other module goes through linear."""
+    readers = []
+    for info in pkgutil.iter_modules(cdse.__path__, "cdse."):
+        if info.name in ("cdse.linear", "cdse.series"):
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+        readers += [f"{info.name}:{node.lineno} .{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("numerator", "denominator")]
+    assert readers == []
+
+
+def test_coproduct_reads_a_count_held_sum_as_its_pair():
+    a, b = Decoration(1, 1), Decoration(1, 2)
+    f, g = Forest((ladder(a, b, a),)), Forest((ladder(b, a), leaf(1)))
+    # 1/2 f + 3/2 g over the unreduced denominator 4
+    held = ForestSum._from_counts([(2, 4, {f: 1, g: 3})])
+    got, want = coproduct(held), coproduct(ForestSum({f: F(1, 2), g: F(3, 2)}))
+    assert got == want and got.terms == want.terms
+    # the input still holds its pair: no Fraction was made from it
+    assert held._counts() == (4, {f: 2, g: 6})
