@@ -124,7 +124,10 @@ def _cmd_classify(args):
     if not J:
         raise InputProblem("equation 1 has no operators")
     series = {q: S.op_series(1, q, args.order) for q in J}
-    verdict = classify_single(J, series)
+    try:
+        verdict = classify_single(J, series)
+    except ValueError as exc:  # a series --permissive left unnormalized
+        raise InputProblem(str(exc)) from None
     lines = []
     structured = args.format == "structured"
     if structured:

@@ -16,9 +16,9 @@ carries a structural kind that fixes its operator series in closed form:
   reduced    level 0; its own factor is removed from the shared product
   full       level 0; its series is the shared product itself
   scaled     level 0; free scalar couplings a_j toward the kinds above
-  shifted    level 1; (1/nu) * (coupling product) + 1 - 1/nu
+  shifted    level 1; free scalar couplings a_j toward damped/reduced/full
   relay      level 1; couples through scaled equations and inherits their
-             coupling scalars, plus a linear term in the scaled variables
+             coupling scalars c_j, plus a linear term in the scaled variables
   extension  level >= 1; affine series 1 + sum a_j*h_j chaining one level
              down per unit of operator degree
 
@@ -34,13 +34,17 @@ Q^q carries factor_j(q*s_j).
 
 An equation's level is its depth in the dependence graph; operators of
 degree q above the level take the form g_i * Q^q with g_i determined by
-the kind.  An extension equation has three regimes: affine at degree 1,
-a copy of its chain equation q-1 hops down for 2 <= q <= level (that
-equation's affine series below the level, its degree-1 series at it), and
-g_i * Q^q above the level.  check_closed_forms verifies every regime on a
-solved system, together with the affine structure constants predicted by
-expected_lambda, which it reads off the solution's leaf cuts rather than
-its coproduct.
+the kind.  The factor of g_i * Q toward j carries the drift intercept of i
+along j: nu*a_j for a shifted equation, c_j - s_j for a relay.  So for
+nu != 0 their degree-1 series is (1/nu) * g_i * Q, plus a relay's linear
+terms, plus 1 - 1/nu; with nu = 0 a shifted one is 1 + the logarithms of
+its coupling factors.  An extension equation has three regimes: affine
+at degree 1, a copy of its chain equation q-1 hops down for
+2 <= q <= level (that equation's affine series below the level, its
+degree-1 series at it), and g_i * Q^q above the level.  check_closed_forms
+verifies every regime on a solved system, together with the affine
+structure constants predicted by expected_lambda, which it reads off the
+solution's leaf cuts rather than its coproduct.
 
 QuasiCyclicData describes systems whose equations sit on a cycle of residue
 classes, every dependency pointing one class forward; solutions are
@@ -120,8 +124,10 @@ def classify_single(J, series):
         f = series[j]
         if f.nvars != 1:
             raise ValueError(f"degree {j}: expected a one-variable series")
-        if f.constant_term() != 1:
-            raise ValueError(f"degree {j}: series not normalized")
+        c = f.constant_term()
+        if c != 1:
+            raise ValueError(f"degree {j}: series not normalized (constant "
+                             f"term {c})")
         if f.trunc < 3:
             raise ValueError(
                 f"degree {j}: series known only to degree {f.trunc}, "
@@ -583,49 +589,20 @@ def closed_form_ast(data: FundamentalData, i: int, q: Optional[int]):
     return ast_product(factors)
 
 
-def _coupling_ast(data: FundamentalData, coeffs: dict):
-    """Product of the coupling factors (1 - b_j*h_j)^(-c_j/b_j), read as
-    exp(c_j*h_j) where b_j = 0, for the scalars c_j in coeffs."""
-    factors = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        b = _base(data, j)
-        if b:
-            factors.append(Pow(_one_minus_ast(b, j), num(-c / b)))
-        else:
-            factors.append(Exp(Var(j) if c == 1 else Mul(num(c), Var(j))))
-    return ast_product(factors)
-
-
-def _level_one_parts(data: FundamentalData, i: int):
-    """Coupling scalars and linear terms of a shifted (nu != 0) or relay
-    equation, whose degree-1 series is (1/nu) * (coupling product)
-    + (linear terms) + 1 - 1/nu."""
-    v = data._by[i]
-    if v.kind == SHIFTED:
-        return {j: v.nu * c for j, c in v.a.items()}, {}
-    shared = _relay_coupling(data, i)
-    return ({j: shared.get(j, Fraction(0)) - drift_slope(data, j)
-             for j in data._by if data.kind(j) in COUPLING_KINDS}, v.a)
-
-
 def _level_one_ast(data: FundamentalData, i: int):
-    """Degree-1 series of a shifted or relay equation."""
+    """Degree-1 series of a shifted or relay equation: (1/nu) * g_i * Q plus
+    a relay's linear terms plus 1 - 1/nu, or the log form when nu = 0."""
     v = data._by[i]
     if v.kind == SHIFTED and v.nu == 0:
-        # the logarithms of the coupling factors
         terms = [num(1)]
         for j in sorted(v.a):
             c, b = v.a[j], _base(data, j)
             terms.append(Mul(num(-c / b), Log(_one_minus_ast(b, j))) if b
                          else Mul(num(c), Var(j)))
         return ast_sum(terms)
-    coeffs, linear = _level_one_parts(data, i)
-    terms = [Mul(num(1 / v.nu), _coupling_ast(data, coeffs))]
-    for l in sorted(linear):
-        terms.append(Mul(num(linear[l]), Var(l)))
+    terms = [Mul(num(1 / v.nu), closed_form_ast(data, i, 1))]
+    if v.kind == RELAY:
+        terms += [Mul(num(c), Var(l)) for l, c in sorted(v.a.items())]
     if v.nu != 1:
         terms.append(num(1 - 1 / v.nu))
     return ast_sum(terms)
@@ -689,7 +666,8 @@ def shared_product_series(data: FundamentalData, trunc: int) -> TruncatedSeries:
 
 
 def _coupling_series(data: FundamentalData, coeffs: dict, trunc: int):
-    """The product of _coupling_ast, built from rising-factorial factors."""
+    """The product of factor_j(c_j) over the scalars c_j in coeffs, built
+    from rising-factorial factors."""
     n = data.nvars
     out = TruncatedSeries.const(n, trunc, 1)
     for j in sorted(coeffs):
@@ -727,11 +705,12 @@ def item_series(data: FundamentalData, i: int, trunc: int) -> TruncatedSeries:
             out = out + ((one - h.scale(b)).log().scale(-c / b) if b
                          else h.scale(c))
         return out
-    coeffs, linear = _level_one_parts(data, i)
+    coeffs = {j: drift_intercept(data, j, i) for j in data._by}
     out = _coupling_series(data, coeffs, trunc).scale(1 / nu) \
         + one.scale(1 - 1 / nu)
-    for l, c in sorted(linear.items()):
-        out = out + TruncatedSeries.var(n, trunc, l).scale(c)
+    if kind == RELAY:
+        for l, c in sorted(data.coupling(i).items()):
+            out = out + TruncatedSeries.var(n, trunc, l).scale(c)
     return out
 
 

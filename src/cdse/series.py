@@ -487,7 +487,12 @@ def _tokenize(s: str):
                 raise ParseError(f"bad character at position {pos} in {s!r}")
             break
         if m.group(1):
-            out.append(("num", Fraction(m.group(1).replace(" ", ""))))
+            literal = m.group(1).replace(" ", "")
+            try:
+                out.append(("num", Fraction(literal)))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {literal!r} in "
+                                 f"{s!r}") from None
         elif m.group(2):
             out.append(("var", int(m.group(2)[1:])))
         elif m.group(3):

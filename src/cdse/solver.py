@@ -203,7 +203,13 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
                    for q in sample):
             notes.append(f"dropped zero operator family (eq {i}, q >= {q0})")
             continue
-        consts = {q: expr_const(expr_at_zero(template), q) for q in sample}
+        consts, at_zero = {}, expr_at_zero(template)
+        for q in sample:
+            try:
+                consts[q] = expr_const(at_zero, q)
+            except EvaluationError as exc:
+                raise SystemFormatError(
+                    f"family (eq {i}) at q = {q}: {exc}") from exc
         if any(c == 0 for c in consts.values()):
             if strict:
                 raise NotHopfCompatible(

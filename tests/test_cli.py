@@ -135,6 +135,10 @@ def test_classify_input_errors(capsys):
     two = "vars 2\neq 1\n  op 1 : 1 + h1\neq 2\n  op 1 : 1 + h2\n"
     code, _, err = run(capsys, "classify", two)
     assert code == 2 and "single-equation" in err
+    code, _, err = run(capsys, "classify", "vars 1\neq 1\n  op 1 : h1 + h1^2\n",
+                       "--permissive")
+    assert (code, err) == (
+        2, "error: degree 1: series not normalized (constant term 0)\n")
 
 
 # ----------------------------------------------------------------- lambda
@@ -359,10 +363,41 @@ def test_malformed_system_is_an_input_error(capsys):
      "operator (1,9): negative power needs a nonzero constant term"),
     ("ops 2.. : log(h1)\n", "3",
      "family (eq 1) at q = 2: log needs constant term 1"),
-], ids=["op", "duplicate-op", "family-op", "family-sample"])
+    ("ops 1.. : log(q + h1)\n", "3",
+     "family (eq 1) at q = 2: irrational constant log value"),
+    ("op 1 : 1/0 + h1\n", "3",
+     "line 3: zero denominator in '1/0' in '1/0 + h1'"),
+], ids=["op", "duplicate-op", "family-op", "family-sample", "family-constant",
+        "zero-denominator"])
 def test_evaluation_errors_name_their_operator(capsys, text, N, message):
     code, out, err = run(capsys, "solve", f"vars 1\neq 1\n  {text}", "-N", N)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# degenerate or malformed operators: no command may raise on them, in
+# either mode, and a refusal is one error line
+BAD_INPUTS = {
+    "zero-denominator": "op 1 : 1/0 + h1\n",
+    "constant-0-op": "op 1 : h1 + h1^2\n",
+    "constant-0-duplicate": "op 1 : h1\n  op 1 : h1\n",
+    "constant-0-family": "ops 1.. : h1^q\n",
+    "constant-0-at-q-3": "ops 1.. : q - 3 + h1\n",
+    "family-constant": "ops 1.. : log(q + h1)\n",
+    "out-of-range": "op 1 : 1 + h2\n",
+    "irrational": "op 1 : (1 + h1)^(2^(1/2))\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_with_a_code_or_one_error_line(capsys, text):
+    for command in ("solve", "check-hopf", "classify", "lambda", "build"):
+        for mode in ("--strict", "--permissive"):
+            code, _, err = run(capsys, command, f"vars 1\neq 1\n  {text}",
+                               mode)
+            assert code in (0, 1, 2), (command, mode)
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1, \
+                    (command, mode, err)
 
 
 def test_deep_nesting_is_an_input_error(capsys):

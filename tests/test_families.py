@@ -138,6 +138,10 @@ def test_mixed_kinds_certify():
     rep = check_closed_forms(S, MIXED, 5)
     assert rep.ok, rep.failures
     assert check_hopf(S, 4).is_hopf
+    # the relay's degree-1 operator is (1/nu) * g_5 * Q + (1/2)h3 + 1 - 1/nu
+    lines = system_text(S).splitlines()
+    assert lines[lines.index("eq 5") + 1] == \
+        "  op 1 : (((1/3*((1-h1)*((1-h2))^-1))+(1/2*h3))+2/3)"
 
 
 # partners for one damped equation: each reads its coupling factor, whose

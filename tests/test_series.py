@@ -247,7 +247,7 @@ def test_instantiate_replaces_the_parameter():
 
 
 @pytest.mark.parametrize("text", [
-    "", "1 +", "(1", "hx", "1 2", "^2", "log()", "q q",
+    "", "1 +", "(1", "hx", "1 2", "^2", "log()", "q q", "1/0 + h1", "2 / 00",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
