@@ -273,7 +273,10 @@ def _add_common(p, default_order=None, suite=False):
                    help="write the report to PATH instead of stdout")
 
 
-def main(argv=None) -> int:
+_PARSER = None  # built by the first main() call, not at import
+
+
+def _parser():
     parser = argparse.ArgumentParser(
         prog="cdse",
         description="exact engine for combinatorial Dyson-Schwinger systems")
@@ -311,8 +314,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("selftest", help="run the structural invariant suites")
     _add_common(p, 3, suite=True)
     p.set_defaults(fn=_cmd_suite)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _parser()
+    args = _PARSER.parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact numbers print at any length
     if "order" in args and args.order < 1:

@@ -33,12 +33,21 @@ def _tree_cuts(t: Tree, tables: dict) -> TensorSum:
 
 
 def _forest_cuts(trees: tuple, tables: dict) -> TensorSum:
-    """The product of the trees' coproducts, read from tables."""
-    if not trees:
-        return TensorSum._like({(EMPTY_FOREST, EMPTY_FOREST): 1})
-    out = tables[trees[0]]
-    for t in trees[1:]:
-        out = out * tables[t]
+    """The product of the trees' coproducts, read from tables, where it is
+    also kept under the tuple trees: trees that share their children under
+    different root decorations, or a forest with a tree's children, take
+    the product once."""
+    if len(trees) == 1:
+        return tables[trees[0]]
+    out = tables.get(trees)
+    if out is None:
+        if trees:
+            out = tables[trees[0]]
+            for t in trees[1:]:
+                out = out * tables[t]
+        else:
+            out = TensorSum._like({(EMPTY_FOREST, EMPTY_FOREST): 1})
+        tables[trees] = out
     return out
 
 

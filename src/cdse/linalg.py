@@ -1,10 +1,13 @@
 """Sparse exact linear algebra over Q: the one elimination, rref.
 
-A row is a dict from integer column to nonzero Fraction; absent columns
-are zero, so the work follows the stored entries, not the matrix shape.
+A row is a dict from integer column to nonzero rational, an int or a
+Fraction; absent columns are zero, so the work follows the stored entries,
+not the matrix shape.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .linear import _accumulate
 
@@ -16,7 +19,8 @@ def rref(rows):
     pivot (its smallest column) and no entry at any other pivot, and the
     pivot columns, both in ascending pivot order.  Rows are added one at a
     time: a new row is reduced by the rows so far, scaled at its pivot, and
-    then cleared out of the earlier rows.
+    then cleared out of the earlier rows.  Int rows stay ints until a
+    pivot other than 1 divides them into Fractions.
     """
     basis = {}  # pivot -> row
     for row in rows:
@@ -29,7 +33,7 @@ def rref(rows):
         pivot = min(v)
         scale = v[pivot]
         if scale != 1:
-            v = {c: x / scale for c, x in v.items()}
+            v = {c: Fraction(x, scale) for c, x in v.items()}
         for other in basis.values():
             f = other.get(pivot)
             if f:

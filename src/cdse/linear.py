@@ -71,9 +71,10 @@ def _same(a, b) -> bool:
 class LinComb:
     """Finite formal sum c_1 b_1 + ... + c_k b_k, coefficients in Q.
 
-    A sum built from int counts (_from_counts, term) holds them as its
-    (den, counts) pair and makes its Fractions only when .terms is first read;
-    it then drops the pair, so one form is stored at a time.
+    A sum built from int counts (_from_counts, _from_ratios, term) holds
+    them as its (den, counts) pair and makes its Fractions only when .terms
+    is first read; it then drops the pair, so one form is stored at a time.
+    The product of two sums that hold pairs holds one too.
     """
 
     __slots__ = ("_terms", "_pair")
@@ -101,10 +102,16 @@ class LinComb:
 
     @classmethod
     def _like(cls, terms: dict) -> "LinComb":
-        """Wrap terms as they are: no conversion, no zero check.  None
-        leaves the terms to a (den, counts) pair the caller sets."""
+        """Wrap terms as they are: no conversion, no zero check."""
         res = cls.__new__(cls)
         res._terms = terms
+        return res
+
+    @classmethod
+    def _held(cls, pair) -> "LinComb":
+        """Hold the (den, counts) pair as it is, no zero count in it."""
+        res = cls._like(None)
+        res._pair = pair
         return res
 
     @classmethod
@@ -112,15 +119,26 @@ class LinComb:
         """Sum of n/d times counts over the parts (n, d, counts), counts a
         dict of int coefficients, summed by _merge.  No Fraction is made
         until .terms is read, and then one per nonzero term."""
-        res = cls._like(None)
-        res._pair = _merge(parts)
-        return res
+        return cls._held(_merge(parts))
+
+    @classmethod
+    def _from_ratios(cls, items) -> "LinComb":
+        """Sum of num/den times key over the items (key, num, den), keys
+        distinct, nums nonzero and dens positive, held as the pair _counts
+        reads off the same Fractions: each ratio is reduced, and den is the
+        lcm of the reduced denominators.  No Fraction is made."""
+        reduced = []
+        for key, num, den in items:
+            g = math.gcd(num, den)
+            reduced.append((key, num // g, den // g))
+        den = math.lcm(*(d for _, _, d in reduced))
+        return cls._held((den, {key: n * (den // d) for key, n, d in reduced}))
 
     def _counts(self):
         """(den, counts): the coefficients as ints over one denominator,
-        the one-part form that _from_counts reads.  A sum built from counts
-        returns its own pair, which the caller must not change; otherwise
-        den is the lcm of the coefficients' denominators."""
+        the one-part form that _from_counts reads.  A sum that holds a pair
+        returns it, and the caller must not change it; otherwise den is the
+        lcm of the coefficients' denominators."""
         terms = self._terms
         if terms is None:
             return self._pair
@@ -132,9 +150,8 @@ class LinComb:
         """coeff times key, held as counts like a sum from _from_counts."""
         if not isinstance(coeff, Fraction):
             coeff = Fraction(coeff)
-        res = cls._like(None)
-        res._pair = coeff.denominator, {key: coeff.numerator} if coeff else {}
-        return res
+        return cls._held((coeff.denominator,
+                          {key: coeff.numerator} if coeff else {}))
 
     @classmethod
     def zero(cls):
@@ -187,6 +204,12 @@ class LinComb:
 
     def __mul__(self, other):
         mul = self._mul_key
+        if self._terms is None and other._terms is None:
+            # both hold pairs: multiply the counts, over the product of dens
+            (da, ca), (db, cb) = self._pair, other._pair
+            right = cb.items()
+            return self._held((da * db, _accumulate({}, (
+                (mul(ka, kb), a * b) for ka, a in ca.items() for kb, b in right))))
         right = other.terms.items()
         return self._like(_accumulate({}, (
             (mul(ka, kb), ca * cb)

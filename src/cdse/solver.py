@@ -252,7 +252,8 @@ def _graft_search(support, caps, kept, counts, picked,
     (children, num, den), num / den the coefficient of their tree.
 
     Children come from kept (degree -> [(tree, den, count, eq)], in
-    canonical order) one at a time, none smaller than the last, so picks
+    canonical order; count / den is the tree's coefficient, den the one
+    its component holds) one at a time, none smaller than the last, so picks
     follow the canonical tree order and the multisets come out in
     lexicographic order: the canonical order of their trees.  The exponent
     vector p must lie in support, the series as ints over the first den;
@@ -301,7 +302,10 @@ def solve(S: SDSE, N: int) -> Solution:
     lies in the support of f_iq, so each degree is built only from the
     nonzero trees of lower degree.  The search multiplies ints, f_iq[p] prod
     p_j! over D = lcm of f_iq's denominators and the children's counts and
-    dens (_counts()); each tree gets one Fraction here, in canonical order.
+    dens.  No Fraction is made: each component holds its trees, in
+    canonical order, as ints over one den (ForestSum._from_ratios reduces
+    each num / den and puts them over the lcm), and that (den, counts) pair
+    is what the next degrees, check_hopf and extract_lambda read.
     """
     if N < 1:
         raise SystemFormatError("degree bound must be >= 1")
@@ -325,11 +329,11 @@ def solve(S: SDSE, N: int) -> Solution:
                 continue
             grafts = _graft_search(ints, caps, kept, [0] * S.nvars, [],
                                    n - dec.degree, 1, 0, slots, 1, D, 0)
-            per_eq[dec.eq] += ((Tree(dec, kids), Fraction(num, den))
+            per_eq[dec.eq] += ((single(Tree(dec, kids)), num, den)
                                for kids, num, den in grafts)
         kept[n] = []
         for i, grown in per_eq.items():
-            components[(i, n)] = ForestSum._like({single(t): a for t, a in grown})
+            components[(i, n)] = ForestSum._from_ratios(grown)
             den, counts = components[(i, n)]._counts()
             kept[n] += ((f.trees[0], den, c, i - 1) for f, c in counts.items())
     return Solution(S, N, components)
@@ -418,18 +422,25 @@ class HopfReport(Record):
 
 
 class _Span:
-    """Sparse echelon basis of a span of forest sums, such as U_d."""
+    """Sparse echelon basis of a span of forest sums, such as U_d.
+
+    Each sum is read as its int counts (_counts()): scaling a vector does
+    not change the span, and rref scales each row at its pivot, so the
+    echelon rows are those of the Fraction rows.
+    """
 
     def __init__(self, vecs):
-        self.forests = sorted({f for vec in vecs for f in vec.terms})
+        counts = [vec._counts()[1] for vec in vecs]
+        self.forests = sorted({f for vec in counts for f in vec})
         self.index = index = {f: col for col, f in enumerate(self.forests)}
         echelon, pivots = linalg.rref(
-            [{index[f]: c for f, c in vec.terms.items()} for vec in vecs])
+            [{index[f]: c for f, c in vec.items()} for vec in counts])
         self.rows = dict(zip(pivots, echelon))  # pivot -> echelon row
 
     def separate(self, vec):
         """A functional phi that kills the span but not vec, as (dict
         Forest -> Fraction, phi(vec)); None when vec lies in the span.
+        vec maps forests to rationals, ints or Fractions.
 
         A forest outside the span's support is its own phi.  Otherwise
         reducing vec by the echelon rows leaves t with no entry at a pivot;
@@ -448,24 +459,29 @@ class _Span:
         if not t:
             return None
         c = min(t)
-        phi = {self.forests[p]: -row[c] for p, row in self.rows.items() if c in row}
+        # rows reduced from int counts hold ints wherever no pivot divided
+        phi = {self.forests[p]: -Fraction(row[c])
+               for p, row in self.rows.items() if c in row}
         phi[self.forests[c]] = Fraction(1)
         return phi, t[c]
 
 
-def _slices(sol: Solution) -> dict:
-    """(i, n, k) -> F -> G -> coefficient of F (x) G in Delta x_i(n), for
-    0 < k < n, off one coproduct of the sum of all components (disjoint
-    supports).  A cut keeps the root in the trunk G, one tree, so i is the
-    root equation of G and n = deg F + deg G."""
-    total = ForestSum._like({f: c for comp in sol.components.values()
-                             for f, c in comp.terms.items()})
+def _slices(sol: Solution):
+    """(D, slices): slices maps (i, n, k) -> F -> G -> D times the
+    coefficient of F (x) G in Delta x_i(n), an int, for 0 < k < n.  They are
+    read off one coproduct of the sum of all components (disjoint supports),
+    summed in ints over D, the lcm of the components' dens.  A cut keeps the
+    root in the trunk G, one tree, so i is the root equation of G and
+    n = deg F + deg G."""
+    total = ForestSum._from_counts((1, *comp._counts())
+                                   for comp in sol.components.values())
+    D, counts = coproduct(total)._counts()
     slices = {}
-    for (f, g), c in coproduct(total).terms.items():
+    for (f, g), c in counts.items():
         if f.degree and g.degree:
             key = (g.trees[0].decoration.eq, f.degree + g.degree, f.degree)
             slices.setdefault(key, {}).setdefault(f, {})[g] = c
-    return slices
+    return D, slices
 
 
 def check_hopf(S: SDSE, N: int) -> HopfReport:
@@ -485,10 +501,15 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
     bidegrees.  Membership is decided exactly; a failing row F comes with
     the separating functional delta_F (x) psi (checkable by pairing it
     against slice and span).
+
+    The components, their monomials and the slices stay int counts over
+    one den each (the (den, counts) pair of cdse.linear), so the rows are
+    reduced as ints scaled by D; Fractions are made inside rref and
+    separate, and the pairing is the reduced row's entry over D.
     """
     sol = solve(S, N)
     span = cache(lambda d: _Span([u for _, u in component_monomials(sol, d)]))
-    slices = _slices(sol)
+    D, slices = _slices(sol)
     checks = 0
     failures = []
     for i in range(1, S.nvars + 1):
@@ -503,7 +524,8 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
                     if found is not None:
                         psi, pairing = found
                         failures.append(HopfFailure(
-                            i, n, k, {(f, g): x for g, x in psi.items()}, pairing))
+                            i, n, k, {(f, g): x for g, x in psi.items()},
+                            Fraction(pairing, D)))
                         break
     return HopfReport(N, checks, failures, sol)
 

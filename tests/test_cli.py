@@ -1,10 +1,15 @@
 """End-to-end command runs, in process, with captured output."""
 
+import argparse
 import gc
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cdse.cli
 import cdse.trees
 from cdse import suites
 from cdse.cli import main
@@ -27,6 +32,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     got = capsys.readouterr()
     return code, got.out, got.err
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    """main builds its parser, the top one and 7 subcommand parsers, on the
+    first call and reuses it; importing cdse.cli builds none."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cdse.cli, "_PARSER", None)
+    assert run(capsys, "build", SQUARE)[0] == 0
+    assert run(capsys, "solve", SQUARE, "-N", "2", "--format", "structured")[0] == 0
+    code, out, _ = run(capsys, "solve", SQUARE, "-N", "2")
+    assert code == 0 and out.startswith("x_1(1) = ")
+    assert len(built) == 8
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    code = ("import argparse, sys; sys.path.insert(0, sys.argv[1]); "
+            "built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import cdse.cli; print(len(built))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
 
 
 # ----------------------------------------------------------------- solve

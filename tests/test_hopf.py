@@ -26,7 +26,9 @@ from cdse import (
     slice_coordinates,
     solve,
 )
+from cdse.families import parse_family_text
 from cdse.hopf import forest_coproduct
+from cdse.linear import LinComb
 from cdse.suites import (cocycle_identity, coassociativity, counit_axiom,
                          coproduct_grading, coproduct_multiplicativity)
 from cdse.trees import EMPTY_FOREST
@@ -125,6 +127,43 @@ def test_cut_counts_are_ints_and_coproducts_are_fractions():
     sol = solve(parse_system_text("vars 1\neq 1\n  op 1 : (1 + h1)^2\n"), 4)
     coords = slice_coordinates(sol, 1, 4, 2)
     assert coords and all(type(c) is Fraction for c in coords.values())
+
+
+INTRO = """family fundamental
+vertex 1 kind damped beta -1/3 degrees 1..
+vertex 2 kind reduced degrees 1
+vertex 3 kind damped beta 1 degrees 1
+rescale 1 3
+"""
+
+
+def test_shared_children_are_multiplied_once(monkeypatch):
+    """One coproduct call multiplies the coproducts of a children tuple
+    once, however many root decorations share it: on the solution of INTRO
+    at N=5, k - 1 products per distinct tuple of k >= 2 children (965 when
+    each tree formed its own).  The result still matches cut enumeration."""
+    sol = solve(parse_family_text(INTRO), 5)
+    x = ForestSum.zero()
+    for comp in sol.components.values():
+        x.add_scaled(comp)
+    products = []
+    mul = LinComb.__mul__
+    monkeypatch.setattr(LinComb, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    got = coproduct(x)
+    monkeypatch.undo()
+    subtrees, todo = set(), [f.trees[0] for f in x.terms]
+    while todo:
+        t = todo.pop()
+        if t not in subtrees:
+            subtrees.add(t)
+            todo += t.children
+    shared = {t.children for t in subtrees if len(t.children) > 1}
+    assert len(products) == sum(len(kids) - 1 for kids in shared) == 380
+    want = TensorSum.zero()
+    for f, c in x.terms.items():
+        want.add_scaled(cut_coproduct(f), c)
+    assert got == want
 
 
 def test_coproduct_of_unit():

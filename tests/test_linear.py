@@ -14,7 +14,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import cdse
-from cdse import Decoration, Forest, ForestSum, WordSum, coproduct, ladder, leaf
+from cdse import (Decoration, Forest, ForestSum, TensorSum, WordSum, coproduct,
+                  ladder, leaf)
 from cdse.linear import _merge, _same, _scaled
 
 F = Fraction
@@ -23,6 +24,8 @@ KEYS = {
                 Forest((leaf(1), leaf(1)))],
     WordSum: [(), (1,), (2,), (1, 1), (1, 2)],
 }
+KEYS[TensorSum] = [(f, g) for f in KEYS[ForestSum][:3]
+                   for g in KEYS[ForestSum][:2]]
 
 coefficients = st.fractions(-4, 4, max_denominator=6)
 
@@ -161,3 +164,53 @@ def test_coproduct_reads_a_count_held_sum_as_its_pair():
     assert got == want and got.terms == want.terms
     # the input still holds its pair: no Fraction was made from it
     assert held._counts() == (4, {f: 2, g: 6})
+
+
+def _product(cls, a: dict, b: dict) -> dict:
+    """The product of two {key: coefficient} dicts, term by term."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = cls._mul_key(None, ka, kb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _both_forms(cls, coeffs):
+    """The sum of coeffs held as counts over an unreduced den, and built
+    from Fractions."""
+    parts = [(c.numerator, c.denominator * 3, {key: 3}) for key, c in coeffs]
+    return cls._from_counts(parts), cls(coeffs)
+
+
+@given(st.sampled_from([ForestSum, TensorSum, WordSum]).flatmap(
+    lambda cls: st.tuples(st.just(cls), *[st.lists(st.tuples(
+        st.sampled_from(KEYS[cls]), coefficients), max_size=4)] * 2)))
+def test_products_agree_whichever_operands_hold_counts(args):
+    """Both operands held: the counts multiply and the product holds them;
+    one or neither held: the Fraction route.  All four give one sum."""
+    cls, a, b = args
+    want = _product(cls, cls(a).terms, cls(b).terms)
+    for x in _both_forms(cls, a):
+        for y in _both_forms(cls, b):
+            held = x._terms is None and y._terms is None
+            got = x * y
+            assert (got._terms is None) == held
+            assert bool(got) == bool(want) and got == cls(want)
+            assert got.terms == want and _fractions_only(got)
+
+
+def test_held_products_drop_what_cancels():
+    for cls in (ForestSum, TensorSum, WordSum):
+        k, j = KEYS[cls][1], KEYS[cls][2]
+        plus = cls._from_counts([(1, 2, {k: 1, j: 1})])     # (k + j) / 2
+        minus = cls._from_counts([(1, 3, {k: 1, j: -1})])   # (k - j) / 3
+        got = plus * minus  # the k j terms cancel
+        assert got._terms is None and got._counts()[0] == 6
+        assert got.terms == {cls._mul_key(None, k, k): F(1, 6),
+                             cls._mul_key(None, j, j): F(-1, 6)}
+        zero = cls._from_counts([(1, 2, {k: 1}), (-1, 2, {k: 1})])
+        for x, y in ((zero, plus), (plus, zero), (zero, cls({j: 1})),
+                     (cls({j: 1}), zero)):
+            got = x * y
+            assert not got and got == cls() and got.terms == {}

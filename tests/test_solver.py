@@ -529,6 +529,18 @@ def test_monomial_labels_are_independent(name, text, N):
         assert len(echelon) == len(monomials)
 
 
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_the_hopf_path_keeps_the_components_as_counts(name, text, N):
+    """check_hopf and extract_lambda read every component as its (den,
+    counts) pair: none of them makes its Fractions."""
+    S = load(text)
+    sol = check_hopf(S, N).solution
+    extract_lambda(S, sol, N)
+    assert sol.components
+    assert all(comp._terms is None for comp in sol.components.values())
+
+
 # each system of HOPF_CASES once, named without its -N
 ORDER_CASES = {name.split(" -N ")[0].removeprefix("check-hopf "): text
                for name, text, _ in HOPF_CASES}
@@ -580,14 +592,17 @@ def test_row_test_matches_dense_oracle_on_random_systems(text):
 @given(small_systems(), st.integers(2, 5))
 def test_one_coproduct_splits_into_the_components(text, N):
     """The slices read off one coproduct of the sum of all components are
-    those of each component's own coproduct."""
+    those of each component's own coproduct, as int counts over one den."""
     sol = solve(sq(text, strict=False), N)
     want = {}
     for (i, n), comp in sol.components.items():
         for (f, g), c in coproduct(comp).terms.items():
             if f.degree and g.degree:
                 want.setdefault((i, n, f.degree), {}).setdefault(f, {})[g] = c
-    assert _slices(sol) == want
+    den, slices = _slices(sol)
+    assert {key: {f: {g: F(c, den) for g, c in row.items()}
+                  for f, row in rows.items()}
+            for key, rows in slices.items()} == want
 
 
 def test_row_side_certificate():
