@@ -171,7 +171,7 @@ def _product(cls, a: dict, b: dict) -> dict:
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = cls._mul_key(None, ka, kb)
+            key = cls()._mul_key(ka, kb)
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
 
@@ -207,8 +207,8 @@ def test_held_products_drop_what_cancels():
         minus = cls._from_counts([(1, 3, {k: 1, j: -1})])   # (k - j) / 3
         got = plus * minus  # the k j terms cancel
         assert got._terms is None and got._counts()[0] == 6
-        assert got.terms == {cls._mul_key(None, k, k): F(1, 6),
-                             cls._mul_key(None, j, j): F(-1, 6)}
+        assert got.terms == {cls()._mul_key(k, k): F(1, 6),
+                             cls()._mul_key(j, j): F(-1, 6)}
         zero = cls._from_counts([(1, 2, {k: 1}), (-1, 2, {k: 1})])
         for x, y in ((zero, plus), (plus, zero), (zero, cls({j: 1})),
                      (cls({j: 1}), zero)):
