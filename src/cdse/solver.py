@@ -361,39 +361,14 @@ def solve_oracle(S: SDSE, N: int) -> Solution:
     return Solution(S, N, components)
 
 
-def component_monomials(sol: Solution, degree: int):
-    """All products of solution components with total degree as given.
-
-    The generating set is every nonzero x_j(m), m <= degree; monomials are
-    multisets of generators.  Returns (label, product) pairs where the label
-    is the sorted multiset of component keys (j, m), in deterministic order.
-    """
-    gens = [(key, fs) for key, fs in sol.generators() if key[1] <= degree]
-    out = []
-    _monomials(gens, 0, degree, [], ForestSum.one(), out)
-    return out
-
-
-def _monomials(gens, start: int, remaining: int, label, acc: ForestSum, out):
-    # module-level, like _graft_search, so that no cycle outlives the call
-    if remaining == 0:
-        out.append((tuple(label), acc))
-        return
-    for idx in range(start, len(gens)):
-        key, fs = gens[idx]
-        if key[1] > remaining:
-            continue
-        _monomials(gens, idx, remaining - key[1], label + [key], acc * fs, out)
-
-
 # --------------------------------------------------------------- Hopf test
 
 class HopfFailure(Record):
     """The bidegree (k, n-k) slice of Delta x_eq(n) escapes U_k (x) U_(n-k).
 
-    The witness is delta_F (x) psi for the first failing row F: psi kills
-    U_(n-k), so the witness kills every monomial tensor of the bidegree,
-    and it pairs with the slice to the nonzero pairing.
+    The witness is delta_F (x) psi for the first failing row F: psi lives
+    on trees rooted at eq and kills x_eq(n-k), so it kills U_(n-k) and the
+    witness every monomial tensor; it pairs with the slice to the pairing.
     """
     eq: int
     degree: int
@@ -422,11 +397,10 @@ class HopfReport(Record):
 
 
 class _Span:
-    """Sparse echelon basis of a span of forest sums, such as U_d.
-
-    Each sum is read as its int counts (_counts()): scaling a vector does
-    not change the span, and rref scales each row at its pivot, so the
-    echelon rows are those of the Fraction rows.
+    """Sparse echelon basis of a span of forest sums, read as int counts
+    (_counts()): scaling a vector does not change the span, and rref scales
+    each row at its pivot.  Sums with disjoint supports, as components are,
+    stay apart: each echelon row is one of them over its pivot entry.
     """
 
     def __init__(self, vecs):
@@ -487,28 +461,22 @@ def _slices(sol: Solution):
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
 
-    For homogeneous x_i(n), every bidegree (k, n-k) slice of its coproduct
-    must lie in U_k (x) U_(n-k), where U_d is the span of the degree-d
-    monomials in the components.  Since U_k (x) U_(n-k) = (U_k (x) B) meet
-    (A (x) U_(n-k)), that holds exactly when every column of the slice (one
-    per right forest) lies in U_k and every row (one per left forest) lies
-    in U_(n-k).  The columns always do: each B_(i,q) is a 1-cocycle,
-    Delta B(y) = B(y) (x) 1 + (id (x) B) Delta y, so by induction on degree
-    Delta x_i(n) = sum_q Delta B_(i,q)(f_iq(x)) lies in A_X (x) H, where A_X
-    is the graded algebra the components generate, and the left side of a
-    (k, n-k) slice lies in U_k.  So only the rows are reduced, each against
-    U_(n-k); each U_d is eliminated once, sparsely, for all equations and
-    bidegrees.  Membership is decided exactly; a failing row F comes with
-    the separating functional delta_F (x) psi (checkable by pairing it
-    against slice and span).
-
-    The components, their monomials and the slices stay int counts over
-    one den each (the (den, counts) pair of cdse.linear), so the rows are
-    reduced as ints scaled by D; Fractions are made inside rref and
-    separate, and the pairing is the reduced row's entry over D.
+    Every bidegree (k, n-k) slice of Delta x_i(n) must lie in U_k (x)
+    U_(n-k), U_d the span of the degree-d monomials x^a in the components.
+    That is every column in U_k and every row (one per left forest F) in
+    U_(n-k), and the columns always are: each B_(i,q) is a 1-cocycle, so
+    by induction Delta x_i(n) lies in A_X (x) H, A_X the algebra the
+    components generate.  A row is a sum of trees rooted at i.  A forest
+    of x^a has tree type a (_tree_type), so U_d is the direct sum of the
+    lines Q x^a, and on those trees the only part of U_(n-k) is Q x_i(n-k).
+    So each row is reduced against the degree-(n-k) components alone,
+    eliminated once for all equations; a failing row F gives the witness
+    delta_F (x) psi.  All of it is int counts over one den (cdse.linear's
+    (den, counts) pair); the pairing is the reduced row's entry over D.
     """
     sol = solve(S, N)
-    span = cache(lambda d: _Span([u for _, u in component_monomials(sol, d)]))
+    span = cache(lambda d: _Span([x for (_, m), x in sol.generators()
+                                  if m == d]))
     D, slices = _slices(sol)
     checks = 0
     failures = []
@@ -530,30 +498,52 @@ def check_hopf(S: SDSE, N: int) -> HopfReport:
     return HopfReport(N, checks, failures, sol)
 
 
+def _within(sol: Solution, n: int, i: int = 1):
+    """Refuse a degree above sol.order or an equation outside 1..nvars: the
+    solution holds no component there, and reading one as zero would give
+    a wrong answer rather than none."""
+    if n > sol.order:
+        raise ValueError(f"degree {n} is above the solution's order {sol.order}")
+    if not 1 <= i <= sol.system.nvars:
+        raise ValueError(f"equation {i} out of range 1..{sol.system.nvars}")
+
+
+def _tree_type(f) -> tuple:
+    """The sorted (root eq, degree) of f's trees: the label of the only
+    monomial in the components whose support can hold f."""
+    return tuple(sorted((t.decoration.eq, t.degree) for t in f.trees))
+
+
+def _monomial(sol: Solution, label) -> ForestSum:
+    """x^label, the product of the components x_j(m) named in label."""
+    return math.prod((sol.component(j, m) for j, m in label),
+                     start=ForestSum.one())
+
+
 def slice_coordinates(sol: Solution, i: int, n: int, k: int):
     """Bidegree (k, n-k) slice of the coproduct of x_i(n), written in the
-    basis of monomial tensors.
+    basis of monomial tensors x^a (x) x^b.
 
-    Returns a dict keyed by (left_label, right_label) with rational values,
-    or None when the monomial tensors are linearly dependent (no unique
-    reading) or the slice falls outside their span.  One elimination of
-    [tensor columns | slice column], one sparse row per (F, G) coordinate,
-    decides both: the pivots must be exactly the tensor columns, and the
-    last column holds the coordinates.
+    Returns a dict keyed by (a, b), sorted tuples of component keys (j, m),
+    with rational values, or None when the slice falls outside their span.
+    A term F (x) G can lie only in the tensor of the tree types of F and G,
+    so one elimination of those tensors beside the slice decides: the
+    pivots must be exactly the tensor columns, and the last column holds
+    the coordinates.
     """
+    _within(sol, n, i)
     slice_ = coproduct(sol.component(i, n)).bidegree(k, n - k)
-    span = [((la, lb), tensor(u, v))
-            for la, u in component_monomials(sol, k)
-            for lb, v in component_monomials(sol, n - k)]
+    labels = sorted({(_tree_type(f), _tree_type(g)) for f, g in slice_.terms})
+    span = [tensor(_monomial(sol, a), _monomial(sol, b)) for a, b in labels]
     rows = {}
-    for col, vec in enumerate([vec for _, vec in span] + [slice_]):
+    for col, vec in enumerate(span + [slice_]):
         for fg, c in vec.terms.items():
             rows.setdefault(fg, {})[col] = c
     m, pivots = linalg.rref(list(rows.values()))
     last = len(span)
     if pivots != list(range(last)):
         return None
-    return {label: m[r][last] for r, (label, _) in enumerate(span) if last in m[r]}
+    return {label: m[r][last] for r, label in enumerate(labels) if last in m[r]}
 
 
 # ----------------------------------------------------------- lambda tables
@@ -657,6 +647,7 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     so it sums that component's int counts (_counts()) over its den.
     Ratios are compared as int cross products; an entry is one Fraction.
     """
+    _within(sol, N)
     tables = {}  # subtree -> its leaf-cut table, for this call only
     cuts = {}    # (leaf decoration, remaining tree) -> count over its den
     pairs = {}   # (i, m) -> x_i(m)._counts(), (den, {forest: count})
@@ -712,6 +703,7 @@ def verify_coefficient_ladder(S: SDSE, sol: Solution, N: int) -> LadderReport:
     a_p = 0, every higher coefficient above it must vanish too, and that is
     what gets checked instead.
     """
+    _within(sol, N)
     active = [i for i in range(1, S.nvars + 1) if S.degrees(i, N)]
     inactive = [i for i in range(1, S.nvars + 1) if i not in active]
     for i in active:

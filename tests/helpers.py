@@ -3,9 +3,9 @@
 Each oracle here reaches a quantity by a path disjoint from the library's
 own: automorphism groups by explicit permutation search, the coproduct by
 enumerating admissible edge subsets, structure constants by leaf surgery
-and by reading the full coproduct, and the Hopf test by dense elimination
-over the whole span of monomial tensors.  The tests compare, never reuse,
-the production code paths.
+and by reading the full coproduct, and the Hopf test and slice coordinates
+by dense elimination over the whole span of monomial tensors.  The tests
+compare, never reuse, the production code paths.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from cdse import (
     tensor,
     trees_of_degree,
 )
-from cdse.solver import INCONSISTENT, VACUOUS, component_monomials
+from cdse.solver import INCONSISTENT, VACUOUS
 from cdse.trees import EMPTY_FOREST
 
 TWO_LABELS = (Decoration(1, 1), Decoration(2, 1))
@@ -207,6 +207,29 @@ def lambda_by_coproduct(S, sol, N):
 
 # ---------------------------------------------------------- dense Hopf test
 
+def component_monomials(sol, degree: int):
+    """All products of solution components with total degree as given.
+
+    The generating set is every nonzero x_j(m), m <= degree; monomials are
+    multisets of generators.  Returns (label, product) pairs where the label
+    is the sorted multiset of component keys (j, m), in label order.
+    """
+    gens = [(key, fs) for key, fs in sol.generators() if key[1] <= degree]
+    out = []
+
+    def extend(start, remaining, label, acc):
+        if remaining == 0:
+            out.append((tuple(label), acc))
+            return
+        for idx in range(start, len(gens)):
+            key, fs = gens[idx]
+            if key[1] <= remaining:
+                extend(idx, remaining - key[1], label + [key], acc * fs)
+
+    extend(0, degree, [], ForestSum.one())
+    return out
+
+
 def dense_rref(rows):
     """Reduced row echelon form of dense Fraction rows, with pivot columns."""
     m = [list(row) for row in rows]
@@ -227,6 +250,14 @@ def dense_rref(rows):
     return m[:len(pivots)], pivots
 
 
+def _cut_delta(x: ForestSum) -> TensorSum:
+    """The coproduct of a forest sum, by cut enumeration."""
+    delta = TensorSum.zero()
+    for f, c in x.terms.items():
+        delta.add_scaled(cut_coproduct(f), c)
+    return delta
+
+
 def dense_hopf_failures(S, N):
     """The Hopf test without factoring: each bidegree (k, n-k) slice of the
     cut coproduct of x_i(n) is reduced against a dense echelon form of all
@@ -242,9 +273,7 @@ def dense_hopf_failures(S, N):
             comp = sol.component(i, n)
             if not comp:
                 continue
-            delta = TensorSum.zero()
-            for f, c in comp.terms.items():
-                delta.add_scaled(cut_coproduct(f), c)
+            delta = _cut_delta(comp)
             for k in range(1, n):
                 checks += 1
                 span = [tensor(u, v) for u in monomials[k] for v in monomials[n - k]]
@@ -262,6 +291,27 @@ def dense_hopf_failures(S, N):
                 if any(residual):
                     failing.append((i, n, k))
     return checks, failing
+
+
+def dense_slice_coordinates(sol, i: int, n: int, k: int):
+    """slice_coordinates over every monomial tensor u (x) v of the bidegree,
+    by dense elimination of [tensor columns | slice column]: a dict keyed by
+    (left label, right label), or None when the tensors are dependent or
+    the slice lies outside their span."""
+    target = _cut_delta(sol.component(i, n)).bidegree(k, n - k)
+    span = [((la, lb), tensor(u, v))
+            for la, u in component_monomials(sol, k)
+            for lb, v in component_monomials(sol, n - k)]
+    vecs = [vec for _, vec in span] + [target]
+    coords = sorted({fg for vec in vecs for fg in vec.terms},
+                    key=lambda fg: (fg[0].key, fg[1].key))
+    echelon, pivots = dense_rref([[vec.coeff(fg) for vec in vecs]
+                                  for fg in coords])
+    last = len(span)
+    if pivots != list(range(last)):
+        return None
+    return {label: row[last] for (label, _), row in zip(span, echelon)
+            if row[last]}
 
 
 # ------------------------------------------------------------ tree shapes

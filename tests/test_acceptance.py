@@ -34,14 +34,14 @@ from cdse.families import (CycleVertex, FundamentalData, QuasiCyclicData,
                            expected_lambda,
                            shared_product_series)
 from cdse.series import expr_series, parse_expr
-from cdse.solver import component_monomials
 from cdse.suites import (cocycle_identity, coassociativity,
                          composition_coproduct_duality, counit_axiom,
                          coproduct_grading, coproduct_multiplicativity,
                          grafting_closed_vs_recursive, pre_lie_identity,
                          tree_to_word_morphism, word_closed_vs_recursive)
 
-from helpers import TWO_LABELS, forests_up_to, trees_up_to
+from helpers import (TWO_LABELS, component_monomials, forests_up_to,
+                     trees_up_to)
 
 INTRO = FundamentalData([
     Vertex(1, "damped", beta=F(-1, 3), degrees=(), all_from=1),

@@ -56,10 +56,11 @@ from cdse.families import (
 )
 from cdse.prelie import graft
 from cdse.solver import (INCONSISTENT, VACUOUS, _leaf_cut_table, _slices,
-                         _Span, component_monomials)
+                         _Span)
 from cdse.trees import _fill_tables
 
-from helpers import (dense_hopf_failures, dense_rref, lambda_by_coproduct,
+from helpers import (component_monomials, dense_hopf_failures, dense_rref,
+                     dense_slice_coordinates, lambda_by_coproduct,
                      lambda_by_surgery, leaf_removals, trees_up_to)
 
 # the benchmark's named systems and rosters
@@ -529,6 +530,59 @@ def test_monomial_labels_are_independent(name, text, N):
         assert len(echelon) == len(monomials)
 
 
+def assert_slices_match_dense(sol):
+    """slice_coordinates equals the dense reading over every monomial
+    tensor, at every (i, n, k) the solution holds, k = 0 and n included."""
+    for i in range(1, sol.system.nvars + 1):
+        for n in range(1, sol.order + 1):
+            for k in range(n + 1):
+                assert (slice_coordinates(sol, i, n, k)
+                        == dense_slice_coordinates(sol, i, n, k)), (i, n, k)
+
+
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_slice_coordinates_match_dense_oracle(name, text, N):
+    assert_slices_match_dense(solve(load(text), N))
+
+
+def _tree_types(slice_):
+    return {tuple(sorted((t.decoration.eq, t.degree) for t in f.trees))
+            for f, _ in slice_.terms}
+
+
+def test_eliminations_hold_only_what_a_row_can_meet(monkeypatch):
+    """A row of a (k, n-k) slice of Delta x_i(n) is a sum of trees rooted
+    at i, where the only part of U_(n-k) is Q x_i(n-k).  So check_hopf
+    eliminates at most one row per equation (FIVE has 20 monomials of
+    degree 2), and slice_coordinates one column per left tree type plus
+    the slice; on the ladder every span is one row, where degree 59 has
+    831,820 monomials."""
+    sizes = []
+    rref = cdse.linalg.rref
+
+    def counted(rows):
+        sizes.append((len(rows), len({c for row in rows for c in row})))
+        return rref(rows)
+
+    monkeypatch.setattr(cdse.linalg, "rref", counted)
+    for S, N in ((five_kinds(), 5), (sq(TWO_NOT_HOPF), 6)):
+        sizes.clear()
+        sol = check_hopf(S, N).solution
+        assert sizes and all(rows <= S.nvars for rows, _ in sizes)
+        for i in range(1, S.nvars + 1):
+            for n in range(2, N + 1):
+                for k in range(1, n):
+                    sizes.clear()
+                    slice_ = coproduct(sol.component(i, n)).bidegree(k, n - k)
+                    slice_coordinates(sol, i, n, k)
+                    ((_, columns),) = sizes
+                    assert columns <= len(_tree_types(slice_)) + 1
+    sizes.clear()
+    assert check_hopf(sq(LADDER), 60).is_hopf
+    assert len(sizes) == 59 and all(rows == 1 for rows, _ in sizes)
+
+
 @pytest.mark.parametrize("name, text, N", HOPF_CASES,
                          ids=[name for name, _, _ in HOPF_CASES])
 def test_the_hopf_path_keeps_the_components_as_counts(name, text, N):
@@ -603,6 +657,12 @@ def test_one_coproduct_splits_into_the_components(text, N):
     assert {key: {f: {g: F(c, den) for g, c in row.items()}
                   for f, row in rows.items()}
             for key, rows in slices.items()} == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(1, 4))
+def test_slice_coordinates_match_dense_oracle_on_random_systems(text, N):
+    assert_slices_match_dense(solve(sq(text, strict=False), N))
 
 
 def test_row_side_certificate():
@@ -859,6 +919,26 @@ def test_slice_coordinates_single_generators():
     assert slice_coordinates(sol, 1, 2, 1) == {(((1, 1),), ((1, 1),)): F(2)}
     c3 = slice_coordinates(sol, 1, 3, 1)
     assert c3[(((1, 1),), ((1, 2),))] == 3
+
+
+def test_readers_refuse_what_the_solution_does_not_hold():
+    """A degree above sol.order or an equation outside 1..nvars has no
+    component to read, so the answer would be made up: lambda 0 and
+    'vacuous' where SQUARE has 4 and 5, a recursion mismatch on a Hopf
+    system, an empty slice with two nonzero coordinates."""
+    S = sq(SQUARE)
+    table = extract_lambda(S, solve(S, 5), 5)
+    assert (table.value(1, 1, 1, 3), table.value(1, 1, 1, 4)) == (4, 5)
+    assert slice_coordinates(solve(S, 5), 1, 5, 2) == {
+        (((1, 1), (1, 1)), ((1, 3),)): 6, (((1, 2),), ((1, 3),)): 4}
+    for call in (lambda: extract_lambda(S, solve(S, 3), 5),
+                 lambda: verify_coefficient_ladder(S, solve(S, 2), 5),
+                 lambda: slice_coordinates(solve(S, 3), 1, 5, 2)):
+        with pytest.raises(ValueError, match="degree 5.* order [23]"):
+            call()
+    for i in (0, 2):
+        with pytest.raises(ValueError, match=f"equation {i} .*1..1"):
+            slice_coordinates(solve(S, 3), i, 3, 1)
 
 
 def test_truncate_at_1():
