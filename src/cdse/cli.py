@@ -19,9 +19,9 @@ from .families import (Case1, Case2, classify_single, is_family_text,
                        parse_family_text)
 from .linear import forest_sum_text
 from .series import EvaluationError, ParseError
-from .solver import (INCONSISTENT, NotHopfCompatible, SystemFormatError,
-                     check_hopf, extract_lambda, parse_system_text, solve,
-                     system_text)
+from .solver import (INCONSISTENT, NotHopfCompatible, Solution,
+                     SystemFormatError, check_hopf, extract_lambda,
+                     parse_system_text, solve, system_text)
 from .trees import TreeSyntaxError, forest_text
 
 
@@ -175,8 +175,7 @@ def _cmd_classify(args):
 
 def _cmd_lambda(args):
     S = _load_system(args.input, args.strict)
-    sol = solve(S, args.order)
-    table = extract_lambda(S, sol, args.order)
+    table = extract_lambda(S, Solution(S, args.order), args.order)
     lines = []
     structured = args.format == "structured"
     if structured:

@@ -44,7 +44,8 @@ at degree 1, a copy of its chain equation q-1 hops down for
 degree-1 series at it), and g_i * Q^q above the level.  check_closed_forms
 verifies every regime on a solved system, together with the affine
 structure constants predicted by expected_lambda, which it reads off the
-solution's leaf cuts rather than its coproduct.
+component labels (extract_lambda), or off the solution's leaf cuts when the
+labels fail, rather than off a coproduct.
 
 QuasiCyclicData describes systems whose equations sit on a cycle of residue
 classes, every dependency pointing one class forward; solutions are
@@ -64,9 +65,9 @@ from .record import FrozenRecord, Record, fresh
 from .series import (Add, Exp, Log, Mul, Param, Pow, Sub, TruncatedSeries,
                      Var, ast_product, ast_sum, expr_series, geometric_family,
                      geometric_family_shifted, num)
-from .solver import (SDSE, INCONSISTENT, SystemFormatError, _exprs_equal,
-                     _lines, _natural, _read, check_hopf, extract_lambda,
-                     rescale_variable, solve)
+from .solver import (SDSE, INCONSISTENT, Solution, SystemFormatError,
+                     _exprs_equal, _lines, _natural, _read, check_hopf,
+                     extract_lambda, rescale_variable)
 from .trees import Decoration, ladder, single
 
 
@@ -741,8 +742,8 @@ def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormRepo
     q = 1; for 2 <= q <= L it copies its chain equation q-1 hops down (the
     affine series below L, the degree-1 series at L), and every reachable
     endpoint must agree; above L, g_i * Q^q is Q^(q-1) exactly when every
-    drift intercept toward i vanishes.  Every structure constant read off
-    the solution's leaf cuts must match expected_lambda.
+    drift intercept toward i vanishes.  Every structure constant
+    extract_lambda reads must match expected_lambda.
     """
     failures = []
     Q = shared_product_series(data, N)
@@ -786,8 +787,7 @@ def check_closed_forms(S: SDSE, data: FundamentalData, N: int) -> ClosedFormRepo
                 if got != route2:
                     failures.append(f"equation {i} degree {q}: series "
                                     f"disagrees with the product route")
-    sol = solve(S, N)
-    table = extract_lambda(S, sol, N)
+    table = extract_lambda(S, Solution(S, N), N)
     lambda_checks = 0
     gap_entries = 0
     for (i, (j, q), n), val in table.items():

@@ -51,6 +51,19 @@ def _merge(parts):
     return den, {key: v for key, v in acc.items() if v}
 
 
+def _ratios(items):
+    """(den, counts), the sum of num/den times key over the items (key,
+    num, den), keys distinct, nums nonzero and dens positive: each ratio is
+    reduced, and den is the lcm of the reduced denominators, so the pair
+    is the one _scaled reads off the same Fractions."""
+    reduced = []
+    for key, num, den in items:
+        g = math.gcd(num, den)
+        reduced.append((key, num // g, den // g))
+    den = math.lcm(*(d for _, _, d in reduced))
+    return den, {key: n * (den // d) for key, n, d in reduced}
+
+
 def _scaled(values):
     """The rationals in values (read twice) as (den, nums): ints over den, the
     lcm of their denominators, in order; other modules read rationals here."""
@@ -123,16 +136,10 @@ class LinComb:
 
     @classmethod
     def _from_ratios(cls, items) -> "LinComb":
-        """Sum of num/den times key over the items (key, num, den), keys
-        distinct, nums nonzero and dens positive, held as the pair _counts
-        reads off the same Fractions: each ratio is reduced, and den is the
-        lcm of the reduced denominators.  No Fraction is made."""
-        reduced = []
-        for key, num, den in items:
-            g = math.gcd(num, den)
-            reduced.append((key, num // g, den // g))
-        den = math.lcm(*(d for _, _, d in reduced))
-        return cls._held((den, {key: n * (den // d) for key, n, d in reduced}))
+        """Sum of num/den times key over the items (key, num, den), held as
+        the pair _ratios makes, the one _counts reads off the same
+        Fractions.  No Fraction is made."""
+        return cls._held(_ratios(items))
 
     def _counts(self):
         """(den, counts): the coefficients as ints over one denominator,

@@ -11,7 +11,9 @@ extended by one parametric family "all q >= q0" sharing a template in q.
 Solving is exact and order by order.  The Hopf test asks, degree by degree
 and bidegree by bidegree, whether the coproduct of each solution component
 stays inside the span of monomial tensors built from solution components,
-and returns a separating functional when it does not.
+and returns a separating functional when it does not.  It is decided on
+component labels from the operator series alone; trees are built only for
+the witnesses of a failing degree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from functools import cache
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import ForestSum, _accumulate, _scaled, tensor
+from .linear import (ForestSum, _accumulate, _merge, _ratios, _scaled,
+                     tensor)
 from .record import Record
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
@@ -226,12 +229,23 @@ def normalize(raw: SDSE, strict: bool = True) -> SDSE:
 # ----------------------------------------------------------------- solving
 
 class Solution:
-    """Homogeneous solution components x_i(n) for n <= order."""
+    """Homogeneous solution components x_i(n) for n <= order.
 
-    def __init__(self, system: SDSE, order: int, components):
+    Made without components, a solution grows them with solve the first
+    time they are read, so a verdict that needs no tree builds none.
+    """
+
+    def __init__(self, system: SDSE, order: int, components=None):
         self.system = system
         self.order = order
-        self.components = components  # (i, n) -> ForestSum
+        self._components = components
+
+    @property
+    def components(self) -> dict:
+        """(i, n) -> ForestSum."""
+        if self._components is None:
+            self._components = solve(self.system, self.order).components
+        return self._components
 
     def component(self, i: int, n: int) -> ForestSum:
         return self.components.get((i, n), ForestSum.zero())
@@ -458,8 +472,223 @@ def _slices(sol: Solution):
     return D, slices
 
 
+def _union(a, b):
+    """The multiset sum of a and b, each a tuple of (label, count) pairs in
+    ascending label order, so a long run of one label stays one pair."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    merged = dict(a)
+    for label, c in b:
+        merged[label] = merged.get(label, 0) + c
+    return tuple(sorted(merged.items()))
+
+
+def _times(x, y):
+    """The product of two (den, counts) pairs keyed by label pairs (a, s),
+    x^a (x) x^s: the left and the right multisets each add up."""
+    (dx, cx), (dy, cy) = x, y
+    out = {}
+    for (a, s), u in cx.items():
+        for (b, t), v in cy.items():
+            key = _union(a, b), _union(s, t)
+            out[key] = out.get(key, 0) + u * v
+    return dx * dy, {key: c for key, c in out.items() if c}
+
+
+_UNIT = (1, {((), ()): 1})  # 1 (x) 1
+
+
+def _power_part(powers, p, j, t, memo):
+    """The degree-t part of the product over j' >= j of (Delta h_j')^p_j',
+    a (den, counts) pair, or None where it is zero.  powers[j][e][d] is
+    the degree-d part of (Delta h_(j+1))^e, and memo holds the parts of
+    the exponent suffixes formed so far at this degree."""
+    while j < len(p) and not p[j]:
+        j += 1
+    if j == len(p):
+        return _UNIT if t == 0 else None
+    e = p[j]
+    low = sum(p[j + 1:])  # a power of degree-positive sums has degree >= e
+    if not low:
+        return powers[j][e].get(t)
+    key = p[j:], t
+    if key not in memo:
+        parts = []
+        for d in range(e, t - low + 1):
+            head = powers[j][e].get(d)
+            tail = head and _power_part(powers, p, j + 1, t - d, memo)
+            if tail:
+                den, counts = _times(head, tail)
+                parts.append((1, den, counts))
+        pair = _merge(parts)
+        memo[key] = pair if pair[1] else None
+    return memo[key]
+
+
+def _proportion(row, den, ref):
+    """(num, d) with row / den = num / d times the vector of ref, a (den,
+    counts) pair; None when ref is None or row is no multiple of it."""
+    if ref is None or row.keys() != ref[1].keys():
+        return None
+    rden, rc = ref
+    key = next(iter(rc))
+    a, b = row[key], rc[key]
+    if any(v * b != a * rc[k] for k, v in row.items()):
+        return None
+    num, d = a * rden, den * b
+    return (num, d) if d > 0 else (-num, -d)
+
+
+def _operator_ints(S: SDSE, N: int):
+    """[(i, q, {p: int}, den)]: each nonzero operator series to degree
+    N - q, as ints over den, evaluated as solve evaluates them (the same
+    (i, q, N - q), in the same order), so a bad operator fails alike."""
+    if N < 1:
+        raise SystemFormatError("degree bound must be >= 1")
+    ops = []
+    for i in range(1, S.nvars + 1):
+        for q in S.degrees(i, N):
+            series = S.op_series(i, q, N - q)
+            if series:
+                den, ints = series._counts()
+                ops.append((i, q, ints, den))
+    return ops
+
+
+def _label_route(S: SDSE, N: int, ops):
+    """The Hopf test on component labels: no tree, no coproduct, no
+    elimination.  A generator over the degrees n = 1..N.
+
+    A label (j, m) names the component x_j(m), and a multiset a of labels
+    the monomial x^a, of degree |a|.  While the test passes below degree
+    n, each Delta x_j(m) is sum_a c_(j,m)[a] x^a (x) x_j(m - |a|), with
+    x_j(0) = 1.  The 1-cocycle property gives
+
+        Delta x_i(n) - x_i(n) (x) 1 = sum_q (id (x) B_(i,q)) [f_iq(Delta h)]_(n-q),
+
+    h_j = sum_m x_j(m).  Expanded over label pairs x^a (x) x^s (the
+    powers of each Delta h_j are kept by degree, from the tables of the
+    degrees passed), the trees B_(i,q)(x^s) for distinct (q, s) have
+    disjoint supports, so each left label a gives a vector alpha_a over
+    the keys (q, s).  a = () gives x_i(n) itself, beta_(i,n).  The slice
+    (i, n, |a|) stays in the span exactly when alpha_a = r_a
+    beta_(i, n - |a|) (_tree_hopf's docstring says why), and then
+    c_(i,n)[a] = r_a.  Everything is (den, int counts) pairs.
+
+    Yields (deltas, failing) per degree: deltas maps each i with x_i(n) !=
+    0 to Delta x_i(n) as a (den, counts) pair keyed by label pairs (a, s),
+    x^a (x) x^s, each a multiset of ((j, m), count) pairs in label order;
+    failing lists the (i, n, k) whose slice escapes, and the first degree
+    that has any is the last one yielded.
+    """
+    nvars = S.nvars
+    # slack[j][e]: the most N - q - |p| over support terms with p_j >= e,
+    # so (Delta h_j)^e is built to degree e + slack only
+    slack = [{} for _ in range(nvars)]
+    for _, q, ints, _ in ops:
+        for p in ints:
+            room = N - q - sum(p)
+            for j, e in enumerate(p):
+                for f in range(1, e + 1):
+                    slack[j][f] = max(slack[j].get(f, room), room)
+    top = [max(s, default=0) for s in slack]
+    # reads[j]: when every term that holds the top power of h_j holds it
+    # alone, the q of those terms (else None); such a term reads degree d
+    # of the power at degree d + q, so d is dropped after d + max q
+    reads = [set() for _ in range(nvars)]
+    for _, q, ints, _ in ops:
+        for p in ints:
+            for j, e in enumerate(p):
+                if e and e == top[j] and reads[j] is not None:
+                    reads[j] = reads[j] | {q} if sum(p) == e else None
+    powers = [[{} for _ in range(e + 1)] for e in top]
+    betas = {}    # (i, n) -> beta_(i,n) as (den, {(q, s): count}), nonzero
+    rights = {}   # (i, m) -> the multiset of the one label (i, m)
+    for n in range(1, N + 1):
+        memo = {}
+        rows = {}  # i -> [(q, den, counts)]: [f_iq(Delta h)]_(n-q)
+        for i, q, ints, den in ops:
+            if q > n:
+                continue
+            parts = []
+            for p, c in ints.items():
+                part = _power_part(powers, p, 0, n - q, memo)
+                if part:
+                    parts.append((c, den * part[0], part[1]))
+            den, counts = _merge(parts)
+            if counts:
+                rows.setdefault(i, []).append((q, den, counts))
+        deltas, failing = {}, set()
+        for i, per_q in rows.items():
+            den = math.lcm(*(d for _, d, _ in per_q))
+            alpha = {}
+            for q, d, counts in per_q:
+                scale = den // d
+                for (a, s), c in counts.items():
+                    alpha.setdefault(a, {})[q, s] = c * scale
+            beta = alpha.pop((), None)
+            if beta is None:
+                continue
+            betas[(i, n)] = (den, beta)
+            own = rights[(i, n)] = (((i, n), 1),)
+            items = [(((), own), 1, 1), ((own, ()), 1, 1)]
+            for a, row in alpha.items():
+                k = sum(m * c for (_, m), c in a)
+                r = _proportion(row, den, betas.get((i, n - k)))
+                if r is None:
+                    failing.add((i, n, k))
+                else:
+                    items.append(((a, rights[(i, n - k)]), *r))
+            deltas[i] = _ratios(items)
+        yield deltas, sorted(failing)
+        if failing:
+            return
+        for j, table in enumerate(powers):
+            if not top[j]:
+                continue
+            if j + 1 in deltas and n - 1 <= slack[j][1]:
+                table[1][n] = deltas[j + 1]
+            for e in range(2, min(top[j], n) + 1):
+                if n - e > slack[j][e]:
+                    continue
+                parts = []
+                for m in range(1, n - e + 2):
+                    x, y = table[1].get(m), table[e - 1].get(n - m)
+                    if x and y:
+                        parts.append((1, *_times(x, y)))
+                pair = _merge(parts)
+                if pair[1]:
+                    table[e][n] = pair
+            if reads[j]:
+                table[top[j]].pop(n - max(reads[j]), None)
+
+
 def check_hopf(S: SDSE, N: int) -> HopfReport:
     """Degree-by-degree Hopf test on the subalgebra of solution components.
+
+    The label route (_label_route) decides from the operator series alone.
+    When it passes to N, the report holds no failure, its checks count the
+    slices of every nonzero x_i(n), n >= 2, and its solution is grown only
+    when read.  When a degree fails, the tree route (_tree_hopf) reruns the
+    test from degree 1 and builds the failures and their witnesses.
+    """
+    checks = 0
+    for n, (deltas, failing) in enumerate(
+            _label_route(S, N, _operator_ints(S, N)), start=1):
+        if failing:
+            return _tree_hopf(S, N)
+        checks += (n - 1) * len(deltas)
+    return HopfReport(N, checks, [], Solution(S, N))
+
+
+def _tree_hopf(S: SDSE, N: int) -> HopfReport:
+    """The Hopf test on the solution's trees, with witnesses.
 
     Every bidegree (k, n-k) slice of Delta x_i(n) must lie in U_k (x)
     U_(n-k), U_d the span of the degree-d monomials x^a in the components.
@@ -627,6 +856,47 @@ def _leaf_cut_table(t: Tree, tables: dict) -> dict:
 
 
 def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
+    """The structure constants lambda_n for (i, (i', q)), n + q <= N.
+
+    lambda_n is the ratio (coefficient of the single vertex (i', q) tensor
+    t in the coproduct of x_i(n+q)) / a_t, which must agree over every tree
+    t of degree n with a_t != 0; disagreement and absence get their
+    markers.  When the label route passes to N, Delta x_i(n+q) holds
+    c x_i'(q) (x) x_i(n) for the label a = ((i', q)), and the vertex has
+    coefficient f_i'q[0] in x_i'(q), so lambda_n = c f_i'q[0]: 0 where the
+    label is absent, and 'vacuous' where x_i(n) = 0.  sol's components are
+    not read on that path.  Otherwise the table is read off the leaf cuts
+    of the solution (_leaf_cut_lambda).
+    """
+    _within(sol, N)
+    ops = _operator_ints(S, N)
+    vertex = {(i, q): Fraction(ints.get((0,) * S.nvars, 0), den)
+              for i, q, ints, den in ops}
+    cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
+    cut = {dec: ((dec, 1),) for dec in cut_decs}
+    found = {}   # (i, (i', q), n) -> lambda_n
+    nonzero = set()
+    for m, (deltas, failing) in enumerate(_label_route(S, N, ops), start=1):
+        if failing:
+            return _leaf_cut_lambda(S, sol, N)
+        for i, (den, counts) in deltas.items():
+            nonzero.add((i, m))
+            for dec in cut_decs:
+                if dec[1] < m:
+                    c = counts.get((cut[dec], (((i, m - dec[1]), 1),)))
+                    if c:
+                        found[(i, dec, m - dec[1])] = (Fraction(c, den)
+                                                       * vertex.get(dec, 0))
+    entries = {}
+    for i in range(1, S.nvars + 1):
+        for dec in cut_decs:
+            for n in range(1, N - dec[1] + 1):
+                entries[(i, dec, n)] = (found.get((i, dec, n), Fraction(0))
+                                        if (i, n) in nonzero else VACUOUS)
+    return LambdaTable(entries, N)
+
+
+def _leaf_cut_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     """Read the structure constants off the leaf cuts of the solution.
 
     lambda_n for (i, (i', q)) is the ratio (coefficient of the single vertex

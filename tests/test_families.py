@@ -359,10 +359,11 @@ def test_ladder_sums_solve_once(monkeypatch):
         calls.append(N)
         return solve(S, N)
 
-    monkeypatch.setattr(cdse.families, "solve", counted)
     monkeypatch.setattr(cdse.solver, "solve", counted)
     assert check_ladder_sums(S_QC3, QC3, 5).ok
     assert calls == [5]
+    # families reaches solve only through the report's lazy solution
+    assert not hasattr(cdse.families, "solve")
 
 
 QC_LOOP = QuasiCyclicData(1, [CycleVertex(1, 0, F(2), (1,), (1,))])

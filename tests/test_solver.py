@@ -16,6 +16,7 @@ from cdse import (
     ForestSum,
     NotHopfCompatible,
     SDSE,
+    Solution,
     Tree,
     SystemFormatError,
     check_hopf,
@@ -39,6 +40,8 @@ from cdse import (
     truncate_at_1,
     verify_coefficient_ladder,
 )
+import cdse
+import cdse.cli
 import cdse.linalg
 import cdse.solver
 import cdse.trees
@@ -51,12 +54,14 @@ from cdse.families import (
     build_case2,
     build_fundamental,
     build_quasicyclic,
+    check_closed_forms,
     is_family_text,
     parse_family_text,
 )
 from cdse.prelie import graft
-from cdse.solver import (INCONSISTENT, VACUOUS, _leaf_cut_table, _slices,
-                         _Span)
+from cdse.solver import (INCONSISTENT, VACUOUS, _label_route, _leaf_cut_lambda,
+                         _leaf_cut_table, _operator_ints, _slices, _Span,
+                         _tree_hopf)
 from cdse.trees import _fill_tables
 
 from helpers import (component_monomials, dense_hopf_failures, dense_rref,
@@ -461,7 +466,8 @@ def test_one_elimination_per_bidegree(monkeypatch):
 
     monkeypatch.setattr(cdse.linalg, "rref", counted)
     N = 3
-    rep = check_hopf(five_kinds(), N)
+    assert check_hopf(five_kinds(), N).is_hopf and not calls
+    rep = _tree_hopf(five_kinds(), N)
     assert rep.is_hopf and rep.checks > len(calls)
     assert 0 < len(calls) <= sum(n - 1 for n in range(2, N + 1))
 
@@ -485,15 +491,16 @@ HOPF_CASES += [(f"{name} -N {N}", text, N)
                          ids=[name for name, _, _ in HOPF_CASES])
 def test_factored_hopf_matches_dense_oracle(name, text, N):
     """Rows in U_(n-k) decide exactly what membership in the whole span of
-    monomial tensors decides."""
+    monomial tensors decides, on the label route and on the tree route."""
     S = load(text)
-    rep = check_hopf(S, N)
     checks, failing = dense_hopf_failures(S, N)
-    assert rep.checks == checks
-    assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == failing
-    assert rep.is_hopf == (not failing)
     assert failing or text not in NOT_HOPF_SYSTEMS.values()
-    assert_certified(rep)
+    for route in (check_hopf, _tree_hopf):
+        rep = route(S, N)
+        assert rep.checks == checks
+        assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == failing
+        assert rep.is_hopf == (not failing)
+        assert_certified(rep)
 
 
 @pytest.mark.parametrize("name, text, N", HOPF_CASES,
@@ -568,7 +575,7 @@ def test_eliminations_hold_only_what_a_row_can_meet(monkeypatch):
     monkeypatch.setattr(cdse.linalg, "rref", counted)
     for S, N in ((five_kinds(), 5), (sq(TWO_NOT_HOPF), 6)):
         sizes.clear()
-        sol = check_hopf(S, N).solution
+        sol = _tree_hopf(S, N).solution
         assert sizes and all(rows <= S.nvars for rows, _ in sizes)
         for i in range(1, S.nvars + 1):
             for n in range(2, N + 1):
@@ -579,7 +586,7 @@ def test_eliminations_hold_only_what_a_row_can_meet(monkeypatch):
                     ((_, columns),) = sizes
                     assert columns <= len(_tree_types(slice_)) + 1
     sizes.clear()
-    assert check_hopf(sq(LADDER), 60).is_hopf
+    assert _tree_hopf(sq(LADDER), 60).is_hopf
     assert len(sizes) == 59 and all(rows == 1 for rows, _ in sizes)
 
 
@@ -665,6 +672,120 @@ def test_slice_coordinates_match_dense_oracle_on_random_systems(text, N):
     assert_slices_match_dense(solve(sq(text, strict=False), N))
 
 
+@st.composite
+def permissive_systems(draw):
+    """small_systems whose constant terms are drawn from 0, 1 and 2, and
+    some of whose operators are 0 outright; read permissively."""
+    lines = []
+    for line in draw(small_systems()).splitlines():
+        if line.startswith("  op "):
+            head, body = line.split(" : ")
+            const = draw(st.sampled_from(("0", "1", "2")))
+            body = "0" if draw(st.integers(0, 4)) == 0 else const + body[1:]
+            line = f"{head} : {body}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def label_route(S, N):
+    """(checks, failing, deltas) read off _label_route: failing is the
+    (eq, degree, left) set of its first failing degree, deltas maps (i, n)
+    to Delta x_i(n) in label form, for the degrees that passed."""
+    checks, deltas = 0, {}
+    for n, (found, failing) in enumerate(
+            _label_route(S, N, _operator_ints(S, N)), start=1):
+        if failing:
+            return checks, failing, deltas
+        checks += (n - 1) * len(found)
+        deltas.update(((i, n), pair) for i, pair in found.items())
+    return checks, [], deltas
+
+
+def _unfold(multiset):
+    """A label multiset as the sorted tuple of its labels, repeats included,
+    the form slice_coordinates keys by."""
+    return tuple(label for label, count in multiset for _ in range(count))
+
+
+def assert_routes_agree(S, N):
+    """The label route and the tree route agree: the same checks when S is
+    Hopf to N, else the same first failing degree and failing slices there.
+    On a Hopf system, each Delta x_i(n) in label form is slice_coordinates
+    at every (i, n, k), and the lambda table is the leaf-cut table."""
+    checks, failing, deltas = label_route(S, N)
+    tree = _tree_hopf(S, N)
+    rep = check_hopf(S, N)
+    tree_failing = [(f.eq, f.degree, f.left_degree) for f in tree.failures]
+    assert rep.checks == tree.checks
+    assert [(f.eq, f.degree, f.left_degree) for f in rep.failures] == tree_failing
+    sol = tree.solution
+    assert (extract_lambda(S, Solution(S, N), N).entries
+            == _leaf_cut_lambda(S, sol, N).entries)
+    if failing:
+        first = min(n for _, n, _ in tree_failing)
+        assert failing == [f for f in tree_failing if f[1] == first]
+        return
+    assert not tree_failing and checks == tree.checks
+    for i in range(1, S.nvars + 1):
+        for n in range(1, N + 1):
+            den, counts = deltas.get((i, n), (1, {}))
+            for k in range(n + 1):
+                want = {(_unfold(a), _unfold(s)): F(c, den)
+                        for (a, s), c in counts.items()
+                        if sum(m * e for (_, m), e in a) == k}
+                assert slice_coordinates(sol, i, n, k) == want, (i, n, k)
+
+
+@pytest.mark.parametrize("name, text, N", HOPF_CASES,
+                         ids=[name for name, _, _ in HOPF_CASES])
+def test_label_route_matches_tree_route(name, text, N):
+    assert_routes_agree(load(text), N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(2, 5))
+def test_label_route_matches_tree_route_on_random_systems(text, N):
+    assert_routes_agree(sq(text), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permissive_systems(), st.integers(2, 5))
+@example("vars 1\neq 1\n  op 1 : h1\n  op 2 : 1 + h1\n", 5)
+@example("vars 2\neq 1\n  op 1 : 1 + h2\n  op 2 : 0\neq 2\n  op 2 : 2*h1\n", 5)
+def test_label_route_matches_tree_route_on_permissive_systems(text, N):
+    assert_routes_agree(sq(text, strict=False), N)
+
+
+def test_hopf_verdicts_build_no_tree(monkeypatch, capsys):
+    """On a Hopf system check_hopf, the lambda command and the closed-form
+    certifier decide on labels: no tree is grafted and no coproduct taken.
+    The report's solution is solve's, grown when first read; a system that
+    is not Hopf still reaches the coproduct for its witnesses."""
+    calls = []
+
+    def counting(name):
+        real = getattr(cdse.solver, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_graft_search", "coproduct"):
+        monkeypatch.setattr(cdse.solver, name, counting(name))
+    S = intro_system()
+    rep = check_hopf(S, 5)
+    assert rep.is_hopf
+    assert cdse.cli.main(["lambda", jobs.INTRO, "-N", "5", "--format",
+                          "structured"]) == 0
+    assert capsys.readouterr().out.endswith("status ok\n")
+    data = jobs.five_data(cdse)
+    assert check_closed_forms(build_fundamental(data), data, 5).ok
+    assert calls == []
+    components = rep.solution.components
+    assert "_graft_search" in calls
+    assert components == solve(S, 5).components
+    calls.clear()
+    assert not check_hopf(sq(NOT_HOPF), 4).is_hopf
+    assert "coproduct" in calls
+
+
 def test_row_side_certificate():
     """Every failure is caught on a row F, so its witness is delta_F (x) psi;
     for NOT_HOPF, psi is spread over two forests."""
@@ -738,7 +859,7 @@ def test_one_elimination_per_degree(monkeypatch):
     monkeypatch.setattr(cdse.linalg, "rref", counted)
     for S, N in ((five_kinds(), 5), (sq(TWO_NOT_HOPF), 6)):
         calls.clear()
-        check_hopf(S, N)
+        _tree_hopf(S, N)
         assert 0 < len(calls) <= N - 1
 
 
@@ -804,6 +925,7 @@ def test_leaf_cut_lambda_matches_coproduct(monkeypatch):
         S = load(text)
         sol = solve(S, 5)
         entries = extract_lambda(S, sol, 5).entries
+        assert _leaf_cut_lambda(S, sol, 5).entries == entries
         assert not calls
         assert entries == lambda_by_coproduct(S, sol, 5)
         markers.update(v for v in entries.values() if isinstance(v, str))
@@ -876,9 +998,13 @@ def test_leaf_cut_work_grows_linearly_on_ladders(monkeypatch):
     counts = {}
     for n, sol in sols.items():
         del built[:]
-        assert extract_lambda(S, sol, n).value(1, 1, 1, n - 1) == 1
+        assert _leaf_cut_lambda(S, sol, n).value(1, 1, 1, n - 1) == 1
         counts[n] = len(built)
     assert counts == {200: 199, 400: 399}
+    # the label route reads the ladder's table without building a tree
+    del built[:]
+    assert extract_lambda(S, sols[400], 400).value(1, 1, 1, 399) == 1
+    assert not built
 
 
 # --------------------------------------------------------- coefficient ladder
