@@ -305,6 +305,21 @@ def _graft_search(support, caps, kept, counts, picked,
             counts[j] -= 1
 
 
+def _operator_series(S: SDSE, N: int) -> list:
+    """[(i, q, f_iq to degree N - q)] for the nonzero operator series, in
+    equation and degree order: what solve and the label route read, so a
+    bad operator fails alike on both."""
+    if N < 1:
+        raise SystemFormatError("degree bound must be >= 1")
+    ops = []
+    for i in range(1, S.nvars + 1):
+        for q in S.degrees(i, N):
+            series = S.op_series(i, q, N - q)
+            if series:
+                ops.append((i, q, series))
+    return ops
+
+
 def solve(S: SDSE, N: int) -> Solution:
     """Coefficient recursion, generated from the support of each operator.
 
@@ -321,19 +336,14 @@ def solve(S: SDSE, N: int) -> Solution:
     each num / den and puts them over the lcm), and that (den, counts) pair
     is what the next degrees, check_hopf and extract_lambda read.
     """
-    if N < 1:
-        raise SystemFormatError("degree bound must be >= 1")
     ops = []
-    for i in range(1, S.nvars + 1):
-        for q in S.degrees(i, N):
-            support = S.op_series(i, q, N - q).terms
-            if support:
-                caps = [max(p[j] for p in support) for j in range(S.nvars)]
-                D, nums = _scaled(support.values())
-                ints = {p: c * math.prod(map(math.factorial, p))
-                        for p, c in zip(support, nums)}
-                ops.append((Decoration(i, q), ints, caps,
-                            max(map(sum, support)), D))
+    for i, q, series in _operator_series(S, N):
+        support = series.terms
+        caps = [max(p[j] for p in support) for j in range(S.nvars)]
+        D, nums = _scaled(support.values())
+        ints = {p: c * math.prod(map(math.factorial, p))
+                for p, c in zip(support, nums)}
+        ops.append((Decoration(i, q), ints, caps, max(map(sum, support)), D))
     kept = {}
     components = {}
     for n in range(1, N + 1):
@@ -546,19 +556,9 @@ def _proportion(row, den, ref):
 
 
 def _operator_ints(S: SDSE, N: int):
-    """[(i, q, {p: int}, den)]: each nonzero operator series to degree
-    N - q, as ints over den, evaluated as solve evaluates them (the same
-    (i, q, N - q), in the same order), so a bad operator fails alike."""
-    if N < 1:
-        raise SystemFormatError("degree bound must be >= 1")
-    ops = []
-    for i in range(1, S.nvars + 1):
-        for q in S.degrees(i, N):
-            series = S.op_series(i, q, N - q)
-            if series:
-                den, ints = series._counts()
-                ops.append((i, q, ints, den))
-    return ops
+    """[(i, q, den, {p: int})]: each nonzero operator series to degree
+    N - q, as ints over den, read as solve reads them."""
+    return [(i, q, *series._counts()) for i, q, series in _operator_series(S, N)]
 
 
 def _label_route(S: SDSE, N: int, ops):
@@ -591,7 +591,7 @@ def _label_route(S: SDSE, N: int, ops):
     # slack[j][e]: the most N - q - |p| over support terms with p_j >= e,
     # so (Delta h_j)^e is built to degree e + slack only
     slack = [{} for _ in range(nvars)]
-    for _, q, ints, _ in ops:
+    for _, q, _, ints in ops:
         for p in ints:
             room = N - q - sum(p)
             for j, e in enumerate(p):
@@ -600,9 +600,11 @@ def _label_route(S: SDSE, N: int, ops):
     top = [max(s, default=0) for s in slack]
     # reads[j]: when every term that holds the top power of h_j holds it
     # alone, the q of those terms (else None); such a term reads degree d
-    # of the power at degree d + q, so d is dropped after d + max q
+    # of the power at degree d + q, so d is dropped after d + max q (a
+    # ladder's top power is Delta h itself: without the drop it would keep
+    # every Delta x(n), n + 1 label pairs each)
     reads = [set() for _ in range(nvars)]
-    for _, q, ints, _ in ops:
+    for _, q, _, ints in ops:
         for p in ints:
             for j, e in enumerate(p):
                 if e and e == top[j] and reads[j] is not None:
@@ -613,7 +615,7 @@ def _label_route(S: SDSE, N: int, ops):
     for n in range(1, N + 1):
         memo = {}
         rows = {}  # i -> [(q, den, counts)]: [f_iq(Delta h)]_(n-q)
-        for i, q, ints, den in ops:
+        for i, q, den, ints in ops:
             if q > n:
                 continue
             parts = []
@@ -861,17 +863,25 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     lambda_n is the ratio (coefficient of the single vertex (i', q) tensor
     t in the coproduct of x_i(n+q)) / a_t, which must agree over every tree
     t of degree n with a_t != 0; disagreement and absence get their
-    markers.  When the label route passes to N, Delta x_i(n+q) holds
+    markers.
+
+    A solution that holds its components (solve's) is read off their leaf
+    cuts (_leaf_cut_lambda): its trees are paid for, and the cuts cost about
+    one tree per vertex, where the labels can cost far more (a ladder has
+    one tree but n + 1 label pairs in Delta x(n)).  A solution made without
+    components (Solution(S, N)) is read off the label route instead, which
+    grows no tree.  When it passes to N, Delta x_i(n+q) holds
     c x_i'(q) (x) x_i(n) for the label a = ((i', q)), and the vertex has
     coefficient f_i'q[0] in x_i'(q), so lambda_n = c f_i'q[0]: 0 where the
-    label is absent, and 'vacuous' where x_i(n) = 0.  sol's components are
-    not read on that path.  Otherwise the table is read off the leaf cuts
-    of the solution (_leaf_cut_lambda).
+    label is absent, and 'vacuous' where x_i(n) = 0.  When a degree fails,
+    the leaf cuts are read, and reading them grows the solution.
     """
     _within(sol, N)
+    if sol._components is not None:
+        return _leaf_cut_lambda(S, sol, N)
     ops = _operator_ints(S, N)
     vertex = {(i, q): Fraction(ints.get((0,) * S.nvars, 0), den)
-              for i, q, ints, den in ops}
+              for i, q, den, ints in ops}
     cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
     cut = {dec: ((dec, 1),) for dec in cut_decs}
     found = {}   # (i, (i', q), n) -> lambda_n

@@ -913,8 +913,9 @@ def test_lambda_against_leaf_surgery():
 
 
 def test_leaf_cut_lambda_matches_coproduct(monkeypatch):
-    """The leaf-cut table equals the one read off the full coproduct,
-    markers included, and forms no coproduct."""
+    """The leaf-cut table, and the label route's of a solution made without
+    components, equal the one read off the full coproduct, markers
+    included, and form no coproduct."""
     calls = []
     monkeypatch.setattr(cdse.solver, "coproduct",
                         lambda x: calls.append(x) or coproduct(x))
@@ -925,7 +926,7 @@ def test_leaf_cut_lambda_matches_coproduct(monkeypatch):
         S = load(text)
         sol = solve(S, 5)
         entries = extract_lambda(S, sol, 5).entries
-        assert _leaf_cut_lambda(S, sol, 5).entries == entries
+        assert extract_lambda(S, Solution(S, 5), 5).entries == entries
         assert not calls
         assert entries == lambda_by_coproduct(S, sol, 5)
         markers.update(v for v in entries.values() if isinstance(v, str))
@@ -989,22 +990,22 @@ def test_leaf_cut_tables_match_leaf_surgery():
 def test_leaf_cut_work_grows_linearly_on_ladders(monkeypatch):
     """Each level of an n-deep ladder takes its one leaf cut from the level
     below, so extract_lambda builds one tree per level above the first, not
-    one per level above every leaf, and rebuilds no dropped table."""
+    one per level above every leaf, and rebuilds no dropped table.  A solved
+    solution is read off its leaf cuts, never off the labels, whose
+    Delta x(n) has n + 1 terms on a ladder."""
     S = sq(LADDER)
     sols = {n: solve(S, n) for n in (200, 400)}
     built = []
     monkeypatch.setattr(cdse.solver, "Tree",
                         lambda *args: built.append(1) or Tree(*args))
+    monkeypatch.setattr(cdse.solver, "_label_route",
+                        lambda *args: built.append("labels") or iter(()))
     counts = {}
     for n, sol in sols.items():
         del built[:]
-        assert _leaf_cut_lambda(S, sol, n).value(1, 1, 1, n - 1) == 1
+        assert extract_lambda(S, sol, n).value(1, 1, 1, n - 1) == 1
         counts[n] = len(built)
     assert counts == {200: 199, 400: 399}
-    # the label route reads the ladder's table without building a tree
-    del built[:]
-    assert extract_lambda(S, sols[400], 400).value(1, 1, 1, 399) == 1
-    assert not built
 
 
 # --------------------------------------------------------- coefficient ladder
