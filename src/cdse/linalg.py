@@ -1,4 +1,5 @@
-"""Sparse exact linear algebra over Q: the one elimination, rref.
+"""Sparse exact linear algebra over Q: the one elimination, rref.  Its one
+caller is the tree route's row test (cdse.solver._Span).
 
 A row is a dict from integer column to nonzero rational, an int or a
 Fraction; absent columns are zero, so the work follows the stored entries,

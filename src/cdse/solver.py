@@ -25,8 +25,7 @@ from functools import cache
 
 from . import linalg
 from .hopf import coproduct, graft_operator
-from .linear import (ForestSum, _accumulate, _merge, _ratios, _scaled,
-                     tensor)
+from .linear import ForestSum, _accumulate, _merge, _ratios
 from .record import Record
 from .series import (Add, EvaluationError, Mul, Num, ParseError, Pow,
                      expr_at_zero, expr_const, expr_degree_bound,
@@ -337,12 +336,10 @@ def solve(S: SDSE, N: int) -> Solution:
     is what the next degrees, check_hopf and extract_lambda read.
     """
     ops = []
-    for i, q, series in _operator_series(S, N):
-        support = series.terms
+    for i, q, D, support in _operator_ints(S, N):
         caps = [max(p[j] for p in support) for j in range(S.nvars)]
-        D, nums = _scaled(support.values())
         ints = {p: c * math.prod(map(math.factorial, p))
-                for p, c in zip(support, nums)}
+                for p, c in support.items()}
         ops.append((Decoration(i, q), ints, caps, max(map(sum, support)), D))
     kept = {}
     components = {}
@@ -543,7 +540,8 @@ def _power_part(powers, p, j, t, memo):
 
 def _proportion(row, den, ref):
     """(num, d) with row / den = num / d times the vector of ref, a (den,
-    counts) pair; None when ref is None or row is no multiple of it."""
+    counts) pair; None when ref is None or row is no multiple of it.  The
+    one ratio test of the label route, slice_coordinates and the leaf cuts."""
     if ref is None or row.keys() != ref[1].keys():
         return None
     rden, rc = ref
@@ -557,7 +555,7 @@ def _proportion(row, den, ref):
 
 def _operator_ints(S: SDSE, N: int):
     """[(i, q, den, {p: int})]: each nonzero operator series to degree
-    N - q, as ints over den, read as solve reads them."""
+    N - q, as ints over den: the one reading solve and the label route use."""
     return [(i, q, *series._counts()) for i, q, series in _operator_series(S, N)]
 
 
@@ -730,9 +728,11 @@ def _tree_hopf(S: SDSE, N: int) -> HopfReport:
 
 
 def _within(sol: Solution, n: int, i: int = 1):
-    """Refuse a degree above sol.order or an equation outside 1..nvars: the
-    solution holds no component there, and reading one as zero would give
-    a wrong answer rather than none."""
+    """Refuse a degree outside 1..sol.order or an equation outside
+    1..nvars: the solution holds no component there, and reading one as
+    zero would give a wrong answer rather than none."""
+    if n < 1:
+        raise ValueError(f"degree {n} is below 1")
     if n > sol.order:
         raise ValueError(f"degree {n} is above the solution's order {sol.order}")
     if not 1 <= i <= sol.system.nvars:
@@ -758,23 +758,25 @@ def slice_coordinates(sol: Solution, i: int, n: int, k: int):
     Returns a dict keyed by (a, b), sorted tuples of component keys (j, m),
     with rational values, or None when the slice falls outside their span.
     A term F (x) G can lie only in the tensor of the tree types of F and G,
-    so one elimination of those tensors beside the slice decides: the
-    pivots must be exactly the tensor columns, and the last column holds
-    the coordinates.
+    and tensors of different labels have disjoint supports, so the slice's
+    terms of each label must be one multiple of that label's tensor
+    (_proportion), and the multiple is its coordinate.
     """
     _within(sol, n, i)
-    slice_ = coproduct(sol.component(i, n)).bidegree(k, n - k)
-    labels = sorted({(_tree_type(f), _tree_type(g)) for f, g in slice_.terms})
-    span = [tensor(_monomial(sol, a), _monomial(sol, b)) for a, b in labels]
-    rows = {}
-    for col, vec in enumerate(span + [slice_]):
-        for fg, c in vec.terms.items():
-            rows.setdefault(fg, {})[col] = c
-    m, pivots = linalg.rref(list(rows.values()))
-    last = len(span)
-    if pivots != list(range(last)):
-        return None
-    return {label: m[r][last] for r, label in enumerate(labels) if last in m[r]}
+    den, counts = coproduct(sol.component(i, n))._counts()
+    blocks = {}
+    for (f, g), c in counts.items():
+        if f.degree == k:
+            blocks.setdefault((_tree_type(f), _tree_type(g)), {})[f, g] = c
+    coords = {}
+    for a, b in sorted(blocks):
+        (da, ca), (db, cb) = (_monomial(sol, x)._counts() for x in (a, b))
+        r = _proportion(blocks[a, b], den, (da * db, {
+            (f, g): u * v for f, u in ca.items() for g, v in cb.items()}))
+        if r is None:
+            return None
+        coords[a, b] = Fraction(*r)
+    return coords
 
 
 # ----------------------------------------------------------- lambda tables
@@ -882,8 +884,6 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     ops = _operator_ints(S, N)
     vertex = {(i, q): Fraction(ints.get((0,) * S.nvars, 0), den)
               for i, q, den, ints in ops}
-    cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
-    cut = {dec: ((dec, 1),) for dec in cut_decs}
     found = {}   # (i, (i', q), n) -> lambda_n
     nonzero = set()
     for m, (deltas, failing) in enumerate(_label_route(S, N, ops), start=1):
@@ -891,19 +891,24 @@ def extract_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
             return _leaf_cut_lambda(S, sol, N)
         for i, (den, counts) in deltas.items():
             nonzero.add((i, m))
-            for dec in cut_decs:
-                if dec[1] < m:
-                    c = counts.get((cut[dec], (((i, m - dec[1]), 1),)))
-                    if c:
-                        found[(i, dec, m - dec[1])] = (Fraction(c, den)
-                                                       * vertex.get(dec, 0))
-    entries = {}
-    for i in range(1, S.nvars + 1):
-        for dec in cut_decs:
-            for n in range(1, N - dec[1] + 1):
-                entries[(i, dec, n)] = (found.get((i, dec, n), Fraction(0))
-                                        if (i, n) in nonzero else VACUOUS)
-    return LambdaTable(entries, N)
+            for (ip, q), v in vertex.items():
+                c = counts.get(((((ip, q), 1),), (((i, m - q), 1),)))
+                if c:
+                    found[(i, (ip, q), m - q)] = Fraction(c, den) * v
+    return _lambda_table(S, N, nonzero,
+                         lambda i, dec, n: found.get((i, dec, n), Fraction(0)))
+
+
+def _lambda_table(S: SDSE, N: int, nonzero, value) -> LambdaTable:
+    """The table over every (i, (i', q), n) with n + q <= N, (i', q) a
+    decoration of S: 'vacuous' where x_i(n) = 0, (i, n) not in nonzero,
+    and value(i, (i', q), n) elsewhere."""
+    decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
+    return LambdaTable({(i, dec, n): value(i, dec, n) if (i, n) in nonzero
+                        else VACUOUS
+                        for i in range(1, S.nvars + 1)
+                        for dec in decs
+                        for n in range(1, N - dec[1] + 1)}, N)
 
 
 def _leaf_cut_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
@@ -924,15 +929,15 @@ def _leaf_cut_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
     components are visited by degree; a tree of degree N is a subtree of
     no tree of degree <= N, and its table is dropped once read.  The sums
     are ints: a cut (d, t) is fed only by x_i(deg t + q), i the root of t,
-    so it sums that component's int counts (_counts()) over its den.
-    Ratios are compared as int cross products; an entry is one Fraction.
+    so it sums that component's int counts (_counts()) over its den, and
+    each entry is one ratio test (_proportion) against x_i(n)'s counts.
     """
     _within(sol, N)
     tables = {}  # subtree -> its leaf-cut table, for this call only
     cuts = {}    # (leaf decoration, remaining tree) -> count over its den
-    pairs = {}   # (i, m) -> x_i(m)._counts(), (den, {forest: count})
+    pairs = {}   # (i, m) -> x_i(m)._counts(), (den, {forest: count}), nonzero
     for (i, m), comp in sorted(sol.components.items(), key=lambda kv: kv[0][1]):
-        if m > N:
+        if m > N or not comp:
             continue
         pairs[(i, m)] = comp._counts()
         for f, w in pairs[(i, m)][1].items():
@@ -942,24 +947,16 @@ def _leaf_cut_lambda(S: SDSE, sol: Solution, N: int) -> LambdaTable:
                 del tables[t]
             for key, count in table.items():
                 cuts[key] = cuts.get(key, 0) + w * count
-    entries = {}
-    cut_decs = sorted({(d.eq, d.degree) for d in S.decorations(N)})
-    for i in range(1, S.nvars + 1):
-        for (ip, q) in cut_decs:
-            dec = Decoration(ip, q)
-            for n in range(1, N - q + 1):
-                den, counts = pairs.get((i, n), (1, {}))
-                if not counts:
-                    entries[(i, (ip, q), n)] = VACUOUS
-                    continue
-                # the cut at t over a_t is c * den_n / (w * den_(n+q))
-                ratios = [(cuts.get((dec, f.trees[0]), 0), w)
-                          for f, w in counts.items()]
-                c0, w0 = ratios[0]
-                entries[(i, (ip, q), n)] = (
-                    Fraction(c0 * den, w0 * pairs.get((i, n + q), (1,))[0])
-                    if all(c * w0 == c0 * w for c, w in ratios) else INCONSISTENT)
-    return LambdaTable(entries, N)
+
+    def value(i, dec, n):
+        # the cuts at the trees of x_i(n), over x_i(n+q)'s den, against x_i(n)
+        cut = Decoration(*dec)
+        ref = pairs[(i, n)]
+        row = {f: cuts.get((cut, f.trees[0]), 0) for f in ref[1]}
+        r = _proportion(row, pairs.get((i, n + dec[1]), (1,))[0], ref)
+        return INCONSISTENT if r is None else Fraction(*r)
+
+    return _lambda_table(S, N, pairs, value)
 
 
 # ------------------------------------------------------- coefficient ladder
