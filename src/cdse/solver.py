@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import linalg
 from .hopf import coproduct, graft_operator
@@ -247,6 +247,9 @@ class Solution:
         return self._components
 
     def component(self, i: int, n: int) -> ForestSum:
+        """x_i(n); a degree or equation the solution does not hold is
+        refused (_within), not read as zero."""
+        _within(self, n, i)
         return self.components.get((i, n), ForestSum.zero())
 
     def coefficient(self, t: Tree) -> Fraction:
@@ -511,33 +514,6 @@ def _times(x, y):
 _UNIT = (1, {((), ()): 1})  # 1 (x) 1
 
 
-def _power_part(powers, p, j, t, memo):
-    """The degree-t part of the product over j' >= j of (Delta h_j')^p_j',
-    a (den, counts) pair, or None where it is zero.  powers[j][e][d] is
-    the degree-d part of (Delta h_(j+1))^e, and memo holds the parts of
-    the exponent suffixes formed so far at this degree."""
-    while j < len(p) and not p[j]:
-        j += 1
-    if j == len(p):
-        return _UNIT if t == 0 else None
-    e = p[j]
-    low = sum(p[j + 1:])  # a power of degree-positive sums has degree >= e
-    if not low:
-        return powers[j][e].get(t)
-    key = p[j:], t
-    if key not in memo:
-        parts = []
-        for d in range(e, t - low + 1):
-            head = powers[j][e].get(d)
-            tail = head and _power_part(powers, p, j + 1, t - d, memo)
-            if tail:
-                den, counts = _times(head, tail)
-                parts.append((1, den, counts))
-        pair = _merge(parts)
-        memo[key] = pair if pair[1] else None
-    return memo[key]
-
-
 def _proportion(row, den, ref):
     """(num, d) with row / den = num / d times the vector of ref, a (den,
     counts) pair; None when ref is None or row is no multiple of it.  The
@@ -570,14 +546,22 @@ def _label_route(S: SDSE, N: int, ops):
 
         Delta x_i(n) - x_i(n) (x) 1 = sum_q (id (x) B_(i,q)) [f_iq(Delta h)]_(n-q),
 
-    h_j = sum_m x_j(m).  Expanded over label pairs x^a (x) x^s (the
-    powers of each Delta h_j are kept by degree, from the tables of the
-    degrees passed), the trees B_(i,q)(x^s) for distinct (q, s) have
-    disjoint supports, so each left label a gives a vector alpha_a over
-    the keys (q, s).  a = () gives x_i(n) itself, beta_(i,n).  The slice
-    (i, n, |a|) stays in the span exactly when alpha_a = r_a
-    beta_(i, n - |a|) (_tree_hopf's docstring says why), and then
-    c_(i,n)[a] = r_a.  Everything is (den, int counts) pairs.
+    h_j = sum_m x_j(m).  Expanded over label pairs x^a (x) x^s, the trees
+    B_(i,q)(x^s) for distinct (q, s) have disjoint supports, so each left
+    label a gives a vector alpha_a over the keys (q, s).  a = () gives
+    x_i(n) itself, beta_(i,n).  The slice (i, n, |a|) stays in the span
+    exactly when alpha_a = r_a beta_(i, n - |a|) (_tree_hopf's docstring
+    says why), and then c_(i,n)[a] = r_a.  Everything is (den, int counts)
+    pairs.
+
+    The products (Delta h)^p live in one table, mono[p][d] the degree-d
+    part, for each exponent p of an operator term and each p on its chain
+    down to one variable: (Delta h)^p = Delta h_j (Delta h)^(p - e_j), j
+    the last variable of p, and (Delta h)^(e_j) is Delta h_j, the deltas
+    of the degrees passed.  Each degree builds mono[p] once, up to the last
+    degree a reader needs, and an entry is dropped once its last reader has
+    passed: an operator term reads degree d at d + q, and a product built
+    from it reads it up to that product's last degree.
 
     Yields (deltas, failing) per degree: deltas maps each i with x_i(n) !=
     0 to Delta x_i(n) as a (den, counts) pair keyed by label pairs (a, s),
@@ -585,40 +569,38 @@ def _label_route(S: SDSE, N: int, ops):
     failing lists the (i, n, k) whose slice escapes, and the first degree
     that has any is the last one yielded.
     """
-    nvars = S.nvars
-    # slack[j][e]: the most N - q - |p| over support terms with p_j >= e,
-    # so (Delta h_j)^e is built to degree e + slack only
-    slack = [{} for _ in range(nvars)]
+    units = [tuple(int(j == k) for k in range(S.nvars)) for j in range(S.nvars)]
+    # top[p]: the last degree of (Delta h)^p read; lag[p]: the largest q of
+    # an operator term x^p; held[p]: the last degree of a product built
+    # from (Delta h)^p, which reads it up to there
+    top, lag, held = {}, {}, {}
     for _, q, _, ints in ops:
         for p in ints:
-            room = N - q - sum(p)
-            for j, e in enumerate(p):
-                for f in range(1, e + 1):
-                    slack[j][f] = max(slack[j].get(f, room), room)
-    top = [max(s, default=0) for s in slack]
-    # reads[j]: when every term that holds the top power of h_j holds it
-    # alone, the q of those terms (else None); such a term reads degree d
-    # of the power at degree d + q, so d is dropped after d + max q (a
-    # ladder's top power is Delta h itself: without the drop it would keep
-    # every Delta x(n), n + 1 label pairs each)
-    reads = [set() for _ in range(nvars)]
-    for _, q, _, ints in ops:
-        for p in ints:
-            for j, e in enumerate(p):
-                if e and e == top[j] and reads[j] is not None:
-                    reads[j] = reads[j] | {q} if sum(p) == e else None
-    powers = [[{} for _ in range(e + 1)] for e in top]
+            top[p] = max(top.get(p, 0), N - q)
+            lag[p] = max(lag.get(p, 0), q)
+    # chain[p]: (e_j, p - e_j) for |p| >= 2; degree d of (Delta h)^p sums
+    # e_j's degree m times p - e_j's degree d - m, m = 1..d - |p| + 1
+    chain = {}
+    for size in range(max(map(sum, top), default=0), 1, -1):
+        for p in [p for p in top if sum(p) == size]:
+            j = max(j for j, e in enumerate(p) if e)
+            chain[p] = units[j], tuple(e - (k == j) for k, e in enumerate(p))
+            for r, upto in zip(chain[p], (top[p] - size + 1, top[p] - 1)):
+                top[r] = max(top.get(r, 0), upto)
+                held[r] = max(held.get(r, 0), top[p])
+    mono = {p: {} for p in top}
+    mono[(0,) * S.nvars] = {0: _UNIT}
+    ends = {}     # degree -> the entries (p, d) whose last reader it is
     betas = {}    # (i, n) -> beta_(i,n) as (den, {(q, s): count}), nonzero
     rights = {}   # (i, m) -> the multiset of the one label (i, m)
     for n in range(1, N + 1):
-        memo = {}
         rows = {}  # i -> [(q, den, counts)]: [f_iq(Delta h)]_(n-q)
         for i, q, den, ints in ops:
             if q > n:
                 continue
             parts = []
             for p, c in ints.items():
-                part = _power_part(powers, p, 0, n - q, memo)
+                part = mono[p].get(n - q)
                 if part:
                     parts.append((c, den * part[0], part[1]))
             den, counts = _merge(parts)
@@ -649,24 +631,19 @@ def _label_route(S: SDSE, N: int, ops):
         yield deltas, sorted(failing)
         if failing:
             return
-        for j, table in enumerate(powers):
-            if not top[j]:
-                continue
-            if j + 1 in deltas and n - 1 <= slack[j][1]:
-                table[1][n] = deltas[j + 1]
-            for e in range(2, min(top[j], n) + 1):
-                if n - e > slack[j][e]:
-                    continue
-                parts = []
-                for m in range(1, n - e + 2):
-                    x, y = table[1].get(m), table[e - 1].get(n - m)
-                    if x and y:
-                        parts.append((1, *_times(x, y)))
-                pair = _merge(parts)
-                if pair[1]:
-                    table[e][n] = pair
-            if reads[j]:
-                table[top[j]].pop(n - max(reads[j]), None)
+        built = {units[i - 1]: pair for i, pair in deltas.items()}
+        for p, (e, rest) in chain.items():
+            if sum(p) <= n <= top[p]:
+                built[p] = _merge((1, *_times(mono[e][m], mono[rest][n - m]))
+                                  for m in range(1, n - sum(p) + 2)
+                                  if m in mono[e] and n - m in mono[rest])
+        for p, pair in built.items():
+            if pair[1] and n <= top.get(p, 0):
+                mono[p][n] = pair
+                ends.setdefault(max(n + lag.get(p, 0), held.get(p, 0)),
+                                []).append((p, n))
+        for p, d in ends.pop(n, ()):
+            del mono[p][d]
 
 
 def check_hopf(S: SDSE, N: int) -> HopfReport:
@@ -792,6 +769,16 @@ class LambdaTable:
         self.entries = entries
         self.order = order
 
+    @cached_property
+    def _lines(self):
+        """(i, (i', q)) -> {n: rational}: the entries grouped by line, in
+        one pass on first read, markers skipped."""
+        lines = {}
+        for (i, key, n), v in self.entries.items():
+            if isinstance(v, Fraction):
+                lines.setdefault((i, key), {})[n] = v
+        return lines
+
     def value(self, i, ip, q, n):
         return self.entries.get((i, (ip, q), n))
 
@@ -801,15 +788,11 @@ class LambdaTable:
 
     def numeric(self, i, ip, q):
         """n -> rational entries for one (i, (i', q)) line, skipping markers."""
-        out = {}
-        for (ii, key, n), v in self.entries.items():
-            if ii == i and key == (ip, q) and isinstance(v, Fraction):
-                out[n] = v
-        return out
+        return dict(self._lines.get((i, (ip, q)), {}))
 
     def affine_fit(self, i, ip, q):
         """Fit A + B(n-1) through the numeric entries; None if they refuse."""
-        vals = self.numeric(i, ip, q)
+        vals = self._lines.get((i, (ip, q)), {})
         if len(vals) < 2:
             return None
         ns = sorted(vals)
@@ -827,8 +810,8 @@ class LambdaTable:
         whose numeric values differ across q.
         """
         grouped = {}
-        for (i, (ip, q), n), v in self.entries.items():
-            if isinstance(v, Fraction):
+        for (i, (ip, q)), line in self._lines.items():
+            for n, v in line.items():
                 grouped.setdefault((i, ip, n), {})[q] = v
         bad = [key for key, per_q in grouped.items()
                if len(set(per_q.values())) > 1]

@@ -4,6 +4,7 @@ import gc
 import os
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -59,9 +60,9 @@ from cdse.families import (
     parse_family_text,
 )
 from cdse.prelie import graft
-from cdse.solver import (INCONSISTENT, VACUOUS, _label_route, _leaf_cut_lambda,
-                         _leaf_cut_table, _operator_ints, _slices, _Span,
-                         _tree_hopf)
+from cdse.solver import (INCONSISTENT, VACUOUS, LambdaTable, _label_route,
+                         _leaf_cut_lambda, _leaf_cut_table, _operator_ints,
+                         _slices, _Span, _tree_hopf)
 from cdse.trees import _fill_tables
 
 from helpers import (component_monomials, dense_hopf_failures, dense_rref,
@@ -751,6 +752,23 @@ def test_label_route_matches_tree_route_on_permissive_systems(text, N):
     assert_routes_agree(sq(text, strict=False), N)
 
 
+def test_label_route_drops_each_power_after_its_last_reader():
+    """On 1 + h1^200 only (Delta h)^200 is read by an operator term; each
+    lower power is read only to build the next, so it is dropped one degree
+    after it is built, and the route holds a few label pairs at a time
+    rather than every power to degree 200 (4.9 MB when they were kept)."""
+    S = sq("vars 1\neq 1\n  op 1 : 1 + h1^200\n")
+    ops = _operator_ints(S, 201)
+    tracemalloc.start()
+    try:
+        *_, (_, failing) = _label_route(S, 201, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failing and all(n == 201 for _, n, _ in failing)
+    assert peak < 1_000_000
+
+
 def test_hopf_verdicts_build_no_tree(monkeypatch, capsys):
     """On a Hopf system check_hopf, the lambda command and the closed-form
     certifier decide on labels: no tree is grafted and no coproduct taken.
@@ -874,6 +892,30 @@ def test_lambda_square_equation_is_n_plus_1():
     assert tab.affine_fit(1, 1, 1) == (F(2), F(1))
     holds, exceptions = tab.q_independence()
     assert holds and not exceptions
+
+
+def test_lambda_lines_are_read_in_one_pass():
+    """numeric, affine_fit and q_independence read the entries grouped by
+    line, grouped in one pass: the lambda command fits every cut, and a
+    family has N cuts of up to N entries each."""
+    S = sq("vars 1\neq 1\n  ops 1.. : 1 + 2*h1\n")
+    entries = extract_lambda(S, Solution(S, 12), 12).entries
+    passes = []
+
+    class Entries(dict):
+        def items(self):
+            passes.append(1)
+            return super().items()
+
+    table = LambdaTable(Entries(entries), 12)
+    for q in range(1, 12):
+        want = {n: v for (i, key, n), v in entries.items()
+                if key == (1, q) and isinstance(v, Fraction)}
+        assert table.numeric(1, 1, q) == want and len(want) == 12 - q
+        assert table.affine_fit(1, 1, q) == (
+            None if q == 11 else (want[1], want[2] - want[1]))
+    assert table.q_independence() == (True, [])
+    assert len(passes) == 1
 
 
 def test_lambda_case2_path_indicator():
@@ -1047,20 +1089,27 @@ def test_readers_refuse_what_the_solution_does_not_hold():
     """A degree outside 1..sol.order or an equation outside 1..nvars has
     no component to read, so the answer would be made up: lambda 0 and
     'vacuous' where SQUARE has 4 and 5, a recursion mismatch on a Hopf
-    system, an empty slice with two nonzero coordinates."""
+    system, an empty slice with two nonzero coordinates, a component or
+    coefficient of 0."""
     S = sq(SQUARE)
     table = extract_lambda(S, solve(S, 5), 5)
     assert (table.value(1, 1, 1, 3), table.value(1, 1, 1, 4)) == (4, 5)
     assert slice_coordinates(solve(S, 5), 1, 5, 2) == {
         (((1, 1), (1, 1)), ((1, 3),)): 6, (((1, 2),), ((1, 3),)): 4}
+    five = ladder(*[(1, 1)] * 5)
     for call in (lambda: extract_lambda(S, solve(S, 3), 5),
                  lambda: verify_coefficient_ladder(S, solve(S, 2), 5),
-                 lambda: slice_coordinates(solve(S, 3), 1, 5, 2)):
+                 lambda: slice_coordinates(solve(S, 3), 1, 5, 2),
+                 lambda: solve(S, 3).component(1, 5),
+                 lambda: Solution(S, 3).component(1, 5),
+                 lambda: solve(S, 3).coefficient(five)):
         with pytest.raises(ValueError, match="degree 5.* order [23]"):
             call()
     for i in (0, 2):
-        with pytest.raises(ValueError, match=f"equation {i} .*1..1"):
-            slice_coordinates(solve(S, 3), i, 3, 1)
+        for call in (lambda: slice_coordinates(solve(S, 3), i, 3, 1),
+                     lambda: solve(S, 3).component(i, 1)):
+            with pytest.raises(ValueError, match=f"equation {i} .*1..1"):
+                call()
     # degree 0 alike on both routes, though x_i(0) = 1 on the labels
     for call in (lambda: extract_lambda(S, solve(S, 3), 0),
                  lambda: extract_lambda(S, Solution(S, 3), 0),
